@@ -186,6 +186,10 @@ int main(int argc, char** argv) {
     if (resumeRow == 0) {
     Table table({"ranks", "hilbert[s]", "redistribute[s]", "kmeans[s]", "hilbert%",
                  "redistribute%", "kmeans%"});
+    // Assignment-engine counters of the same runs: distance calculations
+    // (all through the SoA batch kernel), lazy epoch bound applications,
+    // and the share of points the bounds skipped.
+    Table engineTable({"ranks", "kmeans[s]", "distCalcs", "batched", "epochApps", "skip%"});
     for (const int ranks : {1, 2, 4, 8, 16, 32}) {
         core::Settings settings;
         settings.transport = transport;
@@ -198,38 +202,18 @@ int main(int argc, char** argv) {
         table.addRow({std::to_string(ranks), Table::num(h, 3), Table::num(r, 3),
                       Table::num(m, 3), Table::num(100.0 * h / total, 3),
                       Table::num(100.0 * r / total, 3), Table::num(100.0 * m / total, 3)});
+        engineTable.addRow({std::to_string(ranks), Table::num(m, 3),
+                            std::to_string(res.counters.distanceCalcs),
+                            std::to_string(res.counters.batchedDistanceCalcs),
+                            std::to_string(res.counters.epochBoundApplications),
+                            Table::num(100.0 * res.counters.skipFraction(), 3)});
     }
     table.print(std::cout);
     std::cout << "\nPaper shape: k-means dominates at small p; the redistribution share\n"
                  "grows with the number of processes.\n\n";
-
-    // Assignment-engine before/after: the same pipeline with the scalar
-    // sqrt-domain reference kernel (the seed implementation) vs the fast
-    // engine (squared-distance SoA batch kernel + lazy epoch bounds), plus
-    // the engine's own counters. Assignments are identical in both modes.
-    std::cout << "=== assignment engine before/after (kmeans phase) ===\n";
-    Table engineTable({"ranks", "mode", "kmeans[s]", "distCalcs", "batched", "epochApps",
-                       "skip%"});
-    for (const int ranks : {1, 4}) {
-        for (const bool reference : {true, false}) {
-            core::Settings settings;
-            settings.transport = transport;
-            settings.memoryBudgetBytes = memBudget;
-            settings.referenceAssignment = reference;
-            const auto res =
-                core::partitionGeographer<2>(mesh.points, {}, k, ranks, settings);
-            engineTable.addRow(
-                {std::to_string(ranks), reference ? "reference" : "fast",
-                 Table::num(res.phaseSeconds.at("kmeans"), 3),
-                 std::to_string(res.counters.distanceCalcs),
-                 std::to_string(res.counters.batchedDistanceCalcs),
-                 std::to_string(res.counters.epochBoundApplications),
-                 Table::num(100.0 * res.counters.skipFraction(), 3)});
-        }
-    }
+    std::cout << "=== assignment engine (kmeans phase) ===\n";
     engineTable.print(std::cout);
-    std::cout << "\nreference = seed scalar kernel (one sqrt per candidate, eager bound\n"
-                 "sweeps); fast = squared-domain batch kernel with lazy epoch bounds.\n\n";
+    std::cout << "\n";
     }  // resumeRow == 0 preamble
 
     // Per-phase intra-rank thread scaling: the whole pipeline on ONE rank so

@@ -96,10 +96,8 @@ BENCHMARK(BM_BalancedKMeans_NoBounds)->Arg(1 << 14);
 // ---------------------------------------------------------------------------
 // Assignment-sweep kernels (core/assign_kernel): one full sweep of the
 // active points against k = 64 centers, bounds reset each iteration so every
-// point is (re)assigned. "Reference" is the seed implementation's scalar
-// sqrt-domain loop; "Fast" the squared-domain SoA batch kernel; the T2/T4
-// variants add intra-rank threads. Both modes produce bitwise-identical
-// assignments (tests/test_kmeans.cpp equivalence suite).
+// point is (re)assigned through the squared-domain SoA batch kernel; the
+// T2/T4 variants add intra-rank threads.
 // ---------------------------------------------------------------------------
 
 template <int DIM>
@@ -116,7 +114,7 @@ std::vector<Point<DIM>> randomPointsDim(std::int64_t n, std::uint64_t seed) {
 }
 
 template <int DIM>
-void assignSweepBench(benchmark::State& state, bool reference, int threads) {
+void assignSweepBench(benchmark::State& state, int threads) {
     const auto n = static_cast<std::int64_t>(state.range(0));
     const std::int32_t k = 64;
     const auto pts = randomPointsDim<DIM>(n, 3);
@@ -126,7 +124,6 @@ void assignSweepBench(benchmark::State& state, bool reference, int threads) {
     for (std::int32_t c = 0; c < k; ++c) influence.push_back(rng.uniform(0.8, 1.25));
 
     core::Settings s;
-    s.referenceAssignment = reference;
     s.threads = threads;
     core::AssignEngine<DIM> engine(pts, {}, s, k);
     std::vector<std::size_t> order(static_cast<std::size_t>(n));
@@ -142,39 +139,22 @@ void assignSweepBench(benchmark::State& state, bool reference, int threads) {
     state.SetItemsProcessed(state.iterations() * n);
 }
 
-void BM_AssignSweep2D_Reference(benchmark::State& state) {
-    assignSweepBench<2>(state, true, 1);
-}
-void BM_AssignSweep2D_Fast(benchmark::State& state) { assignSweepBench<2>(state, false, 1); }
-void BM_AssignSweep2D_FastT2(benchmark::State& state) {
-    assignSweepBench<2>(state, false, 2);
-}
-void BM_AssignSweep2D_FastT4(benchmark::State& state) {
-    assignSweepBench<2>(state, false, 4);
-}
-void BM_AssignSweep3D_Reference(benchmark::State& state) {
-    assignSweepBench<3>(state, true, 1);
-}
-void BM_AssignSweep3D_Fast(benchmark::State& state) { assignSweepBench<3>(state, false, 1); }
-void BM_AssignSweep3D_FastT2(benchmark::State& state) {
-    assignSweepBench<3>(state, false, 2);
-}
-void BM_AssignSweep3D_FastT4(benchmark::State& state) {
-    assignSweepBench<3>(state, false, 4);
-}
-BENCHMARK(BM_AssignSweep2D_Reference)->Arg(1 << 17)->Arg(1 << 20);
+void BM_AssignSweep2D_Fast(benchmark::State& state) { assignSweepBench<2>(state, 1); }
+void BM_AssignSweep2D_FastT2(benchmark::State& state) { assignSweepBench<2>(state, 2); }
+void BM_AssignSweep2D_FastT4(benchmark::State& state) { assignSweepBench<2>(state, 4); }
+void BM_AssignSweep3D_Fast(benchmark::State& state) { assignSweepBench<3>(state, 1); }
+void BM_AssignSweep3D_FastT2(benchmark::State& state) { assignSweepBench<3>(state, 2); }
+void BM_AssignSweep3D_FastT4(benchmark::State& state) { assignSweepBench<3>(state, 4); }
 BENCHMARK(BM_AssignSweep2D_Fast)->Arg(1 << 17)->Arg(1 << 20);
 BENCHMARK(BM_AssignSweep2D_FastT2)->Arg(1 << 20);
 BENCHMARK(BM_AssignSweep2D_FastT4)->Arg(1 << 20);
-BENCHMARK(BM_AssignSweep3D_Reference)->Arg(1 << 17)->Arg(1 << 20);
 BENCHMARK(BM_AssignSweep3D_Fast)->Arg(1 << 17)->Arg(1 << 20);
 BENCHMARK(BM_AssignSweep3D_FastT2)->Arg(1 << 20);
 BENCHMARK(BM_AssignSweep3D_FastT4)->Arg(1 << 20);
 
-// Whole-algorithm before/after across the scenario grid the engine serves:
-// full vs sampled initialization, unit vs weighted points.
-void kmeansEngineBench(benchmark::State& state, bool reference, bool sampled,
-                       bool weighted) {
+// Whole algorithm across the scenario grid the engine serves: full vs
+// sampled initialization, unit vs weighted points.
+void kmeansEngineBench(benchmark::State& state, bool sampled, bool weighted) {
     const auto n = state.range(0);
     const auto pts = points2(n);
     Xoshiro256 rng(11);
@@ -184,7 +164,6 @@ void kmeansEngineBench(benchmark::State& state, bool reference, bool sampled,
     std::vector<Point2> centers;
     for (int c = 0; c < 64; ++c) centers.push_back(Point2{{rng.uniform(), rng.uniform()}});
     core::Settings s;
-    s.referenceAssignment = reference;
     s.sampledInitialization = sampled;
     for (auto _ : state) {
         par::runSpmd(1, [&](par::Comm& comm) {
@@ -195,29 +174,11 @@ void kmeansEngineBench(benchmark::State& state, bool reference, bool sampled,
     state.SetItemsProcessed(state.iterations() * n);
 }
 
-void BM_KMeansFull_Reference(benchmark::State& state) {
-    kmeansEngineBench(state, true, false, false);
-}
-void BM_KMeansFull_Fast(benchmark::State& state) {
-    kmeansEngineBench(state, false, false, false);
-}
-void BM_KMeansSampled_Reference(benchmark::State& state) {
-    kmeansEngineBench(state, true, true, false);
-}
-void BM_KMeansSampled_Fast(benchmark::State& state) {
-    kmeansEngineBench(state, false, true, false);
-}
-void BM_KMeansWeighted_Reference(benchmark::State& state) {
-    kmeansEngineBench(state, true, false, true);
-}
-void BM_KMeansWeighted_Fast(benchmark::State& state) {
-    kmeansEngineBench(state, false, false, true);
-}
-BENCHMARK(BM_KMeansFull_Reference)->Arg(1 << 16);
+void BM_KMeansFull_Fast(benchmark::State& state) { kmeansEngineBench(state, false, false); }
+void BM_KMeansSampled_Fast(benchmark::State& state) { kmeansEngineBench(state, true, false); }
+void BM_KMeansWeighted_Fast(benchmark::State& state) { kmeansEngineBench(state, false, true); }
 BENCHMARK(BM_KMeansFull_Fast)->Arg(1 << 16);
-BENCHMARK(BM_KMeansSampled_Reference)->Arg(1 << 16);
 BENCHMARK(BM_KMeansSampled_Fast)->Arg(1 << 16);
-BENCHMARK(BM_KMeansWeighted_Reference)->Arg(1 << 16);
 BENCHMARK(BM_KMeansWeighted_Fast)->Arg(1 << 16);
 
 void BM_SampleSort(benchmark::State& state) {

@@ -185,35 +185,6 @@ int main(int argc, char** argv) {
             }
         }
 
-        // Compact fp32-center snapshot (single thread, one batch size): the
-        // guard re-resolves any lane fp32 could flip, so results must stay
-        // identical to the engine's partition — verified below like every
-        // other mode.
-        {
-            serve::SnapshotOptions compactOptions;
-            compactOptions.compactCenters = true;
-            const auto compactSnap =
-                serve::PartitionSnapshot<2>::fromResult(res, 1, 0, compactOptions);
-            serve::Router<2> router(1);
-            router.publish(compactSnap);
-            std::fill(routed.begin(), routed.end(), -1);
-            Timer timer;
-            for (std::int64_t lo = 0; lo < n; lo += 16384) {
-                const auto len = static_cast<std::size_t>(std::min<std::int64_t>(16384, n - lo));
-                router.route(std::span<const Point2>(points.data() + lo, len),
-                             std::span<std::int32_t>(routed.data() + lo, len));
-            }
-            addRow("compact", 1, 16384, timer.seconds());
-            if (routed != res.partition) {
-                std::cerr << "FAIL: compact fp32 routing diverged from the partition\n";
-                return 1;
-            }
-            // The router holds its own copy of the snapshot; read the
-            // fallback counter from the copy that actually served.
-            std::cout << "k=" << k << " compact fp32 fallbacks: "
-                      << router.snapshot()->compactFallbacks() << " / " << n << "\n";
-        }
-
         // Batched path: batch size x thread count.
         for (const int threads : {1, 2, 4, 8}) {
             serve::Router<2> router(threads);

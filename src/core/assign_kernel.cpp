@@ -5,13 +5,9 @@
 #include <limits>
 #include <numeric>
 
+#include "core/tile_kernel.hpp"
 #include "par/parallel_for.hpp"
 #include "support/assert.hpp"
-
-#if defined(__SSE2__)
-#define GEO_ASSIGN_SSE2 1
-#include <emmintrin.h>
-#endif
 
 namespace geo::core {
 
@@ -76,12 +72,10 @@ void AssignEngine<D>::beginRound(std::span<const Point<D>> centers,
                 "need one center and one influence value per cluster");
     centers_ = centers;
     influence_ = influence;
-    if (!settings_.referenceAssignment) {
-        invInfluence2_.resize(static_cast<std::size_t>(k_));
-        for (std::int32_t c = 0; c < k_; ++c) {
-            const double inf = influence_[static_cast<std::size_t>(c)];
-            invInfluence2_[static_cast<std::size_t>(c)] = 1.0 / (inf * inf);
-        }
+    invInfluence2_.resize(static_cast<std::size_t>(k_));
+    for (std::int32_t c = 0; c < k_; ++c) {
+        const double inf = influence_[static_cast<std::size_t>(c)];
+        invInfluence2_[static_cast<std::size_t>(c)] = 1.0 / (inf * inf);
     }
     sortedCenters_.resize(static_cast<std::size_t>(k_));
     std::iota(sortedCenters_.begin(), sortedCenters_.end(), 0);
@@ -96,15 +90,17 @@ void AssignEngine<D>::beginRound(std::span<const Point<D>> centers,
         centerKey_.resize(static_cast<std::size_t>(k_));
         for (std::int32_t c = 0; c < k_; ++c) {
             const auto ci = static_cast<std::size_t>(c);
-            centerKey_[ci] = settings_.referenceAssignment
-                                 ? activeBox.minDistance(centers_[ci]) / influence_[ci]
-                                 : activeBox.minSquaredDistance(centers_[ci]) *
-                                       invInfluence2_[ci];
+            centerKey_[ci] = activeBox.minSquaredDistance(centers_[ci]) * invInfluence2_[ci];
         }
+        // Ascending (key, id): every center inside the active box has key 0,
+        // and the batch kernel keeps the first of exactly tied candidates,
+        // so ordering equal keys by id is what makes a tie among them
+        // resolve to the lowest id — the snapshot's rule.
         std::sort(sortedCenters_.begin(), sortedCenters_.end(),
                   [&](std::int32_t a, std::int32_t b) {
-                      return centerKey_[static_cast<std::size_t>(a)] <
-                             centerKey_[static_cast<std::size_t>(b)];
+                      const double ka = centerKey_[static_cast<std::size_t>(a)];
+                      const double kb = centerKey_[static_cast<std::size_t>(b)];
+                      return ka < kb || (ka == kb && a < b);
                   });
         keysValid_ = true;
     }
@@ -206,7 +202,6 @@ void AssignEngine<D>::processBlock(const typename PointStore<D>::WaveView& wave,
     scratch.pointIdx.clear();
     for (int d = 0; d < D; ++d) scratch.gx[static_cast<std::size_t>(d)].clear();
 
-    const bool reference = settings_.referenceAssignment;
     for (std::size_t j = j0; j < j1; ++j) {
         const std::size_t p = ids[wave.begin + j];
         scratch.counters.pointEvaluations++;
@@ -218,17 +213,14 @@ void AssignEngine<D>::processBlock(const typename PointStore<D>::WaveView& wave,
             }
         }
         scratch.pointIdx.push_back(p);
-        if (!reference && !settings_.useKdTree)
+        if (!settings_.useKdTree)
             for (int d = 0; d < D; ++d)
                 scratch.gx[static_cast<std::size_t>(d)].push_back(
                     wave.x[static_cast<std::size_t>(d)][j]);
     }
 
     if (!scratch.pointIdx.empty()) {
-        if (reference) {
-            for (const std::size_t p : scratch.pointIdx)
-                assignPointReference(p, scratch.counters);
-        } else if (settings_.useKdTree) {
+        if (settings_.useKdTree) {
             const std::uint32_t cur = currentEpoch();
             for (const std::size_t p : scratch.pointIdx) {
                 const auto q = tree_.queryNearestIds(points_[p]);
@@ -257,18 +249,17 @@ void AssignEngine<D>::processBlock(const typename PointStore<D>::WaveView& wave,
 namespace {
 /// How many sorted centers the batch kernel scans between lane-retirement
 /// passes. A lane (point) is finished as soon as the next center's pruning
-/// key exceeds its second-best — the per-point break of the scalar path —
-/// so the interval only bounds how many extra candidates a finished lane
-/// may see before it is compacted away.
+/// key exceeds its second-best — the seed algorithm's per-point break — so
+/// the interval only bounds how many extra candidates a finished lane may
+/// see before it is compacted away.
 constexpr std::size_t kRetireInterval = 4;
 }  // namespace
 
-/// Centers-outer, lanes-inner squared-domain scan over one gathered block.
-/// The inner loop does unconditional loads/stores with ternary selects (no
-/// control flow) so -O3 can if-convert and vectorize it; center ids travel
-/// as doubles so every lane of the select has one vector width. Lanes whose
-/// per-point pruning break has fired are materialized and compacted out
-/// every kRetireInterval centers, keeping the live lanes contiguous.
+/// Centers-outer, lanes-inner squared-domain scan over one gathered block:
+/// the shared tile kernel (core/tile_kernel.hpp) folds each sorted center
+/// into the live lanes, tracking best and runner-up. Lanes whose per-point
+/// pruning break has fired are materialized and compacted out every
+/// kRetireInterval centers, keeping the live lanes contiguous.
 template <int D>
 void AssignEngine<D>::batchKernel(Scratch& scratch, std::size_t m) {
     scratch.best2.assign(m, kInf);
@@ -277,10 +268,11 @@ void AssignEngine<D>::batchKernel(Scratch& scratch, std::size_t m) {
     scratch.secondC.assign(m, -1.0);
     const std::uint32_t cur = currentEpoch();
 
-    // Materialize one lane: recompute the Hamerly bounds with the exact
-    // scalar expression of the reference path, so ub/lb agree bitwise
-    // across modes (the only sqrts on the fast path — at most two per
-    // assigned point).
+    // Materialize one lane: recompute the Hamerly bounds in the sqrt
+    // domain with the seed algorithm's expression distance(p,c)/influence(c)
+    // — never from the squared values, which can differ in the last ulp —
+    // so ub/lb stay bitwise equal to the seed's (the only sqrts on this
+    // path, at most two per assigned point).
     const auto materialize = [&](std::size_t j) {
         const std::size_t p = scratch.pointIdx[j];
         const auto bc = static_cast<std::int32_t>(scratch.bestC[j]);
@@ -296,86 +288,26 @@ void AssignEngine<D>::batchKernel(Scratch& scratch, std::size_t m) {
         epoch_[p] = cur;
     };
 
+    TileLanes<D> lanes;
+    for (int d = 0; d < D; ++d)
+        lanes.x[static_cast<std::size_t>(d)] = scratch.gx[static_cast<std::size_t>(d)].data();
+    lanes.best2 = scratch.best2.data();
+    lanes.bestC = scratch.bestC.data();
+    lanes.second2 = scratch.second2.data();
+    lanes.secondC = scratch.secondC.data();
+
     std::size_t live = m;
     const std::size_t kCount = sortedCenters_.size();
     for (std::size_t ci = 0; ci < kCount && live > 0; ++ci) {
-        const std::int32_t c = sortedCenters_[ci];
-        std::array<double, static_cast<std::size_t>(D)> cx;
-        for (int d = 0; d < D; ++d)
-            cx[static_cast<std::size_t>(d)] = centers_[static_cast<std::size_t>(c)][d];
-        const double inv = invInfluence2_[static_cast<std::size_t>(c)];
-        const auto cd = static_cast<double>(c);
-
-        double* __restrict best2 = scratch.best2.data();
-        double* __restrict second2 = scratch.second2.data();
-        double* __restrict bestC = scratch.bestC.data();
-        double* __restrict secondC = scratch.secondC.data();
-        std::array<const double*, static_cast<std::size_t>(D)> gx;
-        for (int d = 0; d < D; ++d)
-            gx[static_cast<std::size_t>(d)] =
-                scratch.gx[static_cast<std::size_t>(d)].data();
-        // Branchless best/second update per lane: the value lanes are pure
-        // min/max (second' = min(os, max(e2, ob))), the id lanes flat
-        // selects. The SSE2 body below is this exact computation two lanes
-        // at a time (minpd/maxpd + compare-mask selects); the tie behaviour
-        // of minpd/maxpd only ever picks between bitwise-equal values, so
-        // both bodies match the scalar reference's strict-< logic exactly.
-        const auto scalarLanes = [&](std::size_t from, std::size_t to) {
-            for (std::size_t j = from; j < to; ++j) {
-                double d2 = 0.0;
-                for (int d = 0; d < D; ++d) {
-                    const double diff = gx[static_cast<std::size_t>(d)][j] -
-                                        cx[static_cast<std::size_t>(d)];
-                    d2 += diff * diff;
-                }
-                const double e2 = d2 * inv;
-                const double ob = best2[j], os = second2[j];
-                const double obc = bestC[j], osc = secondC[j];
-                best2[j] = std::min(e2, ob);
-                second2[j] = std::min(os, std::max(e2, ob));
-                const double demoted = e2 < os ? cd : osc;
-                bestC[j] = e2 < ob ? cd : obc;
-                secondC[j] = e2 < ob ? obc : demoted;
-            }
-        };
-#if GEO_ASSIGN_SSE2
-        const __m128d cdv = _mm_set1_pd(cd);
-        const __m128d invv = _mm_set1_pd(inv);
-        std::size_t j = 0;
-        for (; j + 2 <= live; j += 2) {
-            __m128d d2 = _mm_setzero_pd();
-            for (int d = 0; d < D; ++d) {
-                const __m128d diff =
-                    _mm_sub_pd(_mm_loadu_pd(gx[static_cast<std::size_t>(d)] + j),
-                               _mm_set1_pd(cx[static_cast<std::size_t>(d)]));
-                d2 = _mm_add_pd(d2, _mm_mul_pd(diff, diff));
-            }
-            const __m128d e2 = _mm_mul_pd(d2, invv);
-            const __m128d ob = _mm_loadu_pd(best2 + j);
-            const __m128d os = _mm_loadu_pd(second2 + j);
-            const __m128d obc = _mm_loadu_pd(bestC + j);
-            const __m128d osc = _mm_loadu_pd(secondC + j);
-            const __m128d mb = _mm_cmplt_pd(e2, ob);
-            const __m128d ms = _mm_cmplt_pd(e2, os);
-            _mm_storeu_pd(best2 + j, _mm_min_pd(e2, ob));
-            _mm_storeu_pd(second2 + j, _mm_min_pd(os, _mm_max_pd(e2, ob)));
-            const __m128d demoted =
-                _mm_or_pd(_mm_and_pd(ms, cdv), _mm_andnot_pd(ms, osc));
-            _mm_storeu_pd(bestC + j,
-                          _mm_or_pd(_mm_and_pd(mb, cdv), _mm_andnot_pd(mb, obc)));
-            _mm_storeu_pd(secondC + j,
-                          _mm_or_pd(_mm_and_pd(mb, obc), _mm_andnot_pd(mb, demoted)));
-        }
-        scalarLanes(j, live);
-#else
-        scalarLanes(0, live);
-#endif
+        const auto c = static_cast<std::size_t>(sortedCenters_[ci]);
+        foldCenter<D, true>(lanes, live, centers_[c], invInfluence2_[c],
+                            static_cast<double>(c));
         scratch.counters.distanceCalcs += live;
         scratch.counters.batchedDistanceCalcs += live;
 
         // Retire finished lanes. Keys are sorted ascending, so once
-        // key[next] > second2[lane] holds, every remaining center fails the
-        // scalar path's break test for that lane: its best/second are final.
+        // key[next] > second2[lane] holds, no remaining center can displace
+        // the lane's best or runner-up: both are final.
         if (keysValid_ && ci + 1 < kCount &&
             ((ci % kRetireInterval) == kRetireInterval - 1 || ci + 2 == kCount)) {
             const double nextKey =
@@ -403,46 +335,6 @@ void AssignEngine<D>::batchKernel(Scratch& scratch, std::size_t m) {
         }
     }
     for (std::size_t j = 0; j < live; ++j) materialize(j);
-}
-
-/// The seed implementation's inner loop, verbatim: per-candidate sqrt in
-/// the effective-distance domain with the per-point pruning break.
-template <int D>
-void AssignEngine<D>::assignPointReference(std::size_t p, KMeansCounters& counters) {
-    const std::uint32_t cur = currentEpoch();
-    if (settings_.useKdTree) {
-        const auto q = tree_.query(points_[p]);
-        assignment_[p] = q.best;
-        ub_[p] = q.bestDistance;
-        lb_[p] = q.secondDistance;
-        epoch_[p] = cur;
-        return;
-    }
-    double best = kInf, second = kInf;
-    std::int32_t bestC = -1;
-    const Point<D>& pt = points_[p];
-    for (std::size_t ci = 0; ci < sortedCenters_.size(); ++ci) {
-        const std::int32_t c = sortedCenters_[ci];
-        if (keysValid_ && centerKey_[static_cast<std::size_t>(c)] > second) {
-            counters.bboxBreaks++;
-            break;  // no remaining center can beat the second best
-        }
-        counters.distanceCalcs++;
-        const double eDist = distance(pt, centers_[static_cast<std::size_t>(c)]) /
-                             influence_[static_cast<std::size_t>(c)];
-        if (eDist < best) {
-            second = best;
-            best = eDist;
-            bestC = c;
-        } else if (eDist < second) {
-            second = eDist;
-        }
-    }
-    GEO_CHECK(bestC >= 0, "assignment found no center");
-    assignment_[p] = bestC;
-    ub_[p] = best;
-    lb_[p] = second;
-    epoch_[p] = cur;
 }
 
 template <int D>

@@ -1,18 +1,18 @@
-// Fast point-to-center assignment engine for balanced k-means.
+// Point-to-center assignment engine for balanced k-means.
 //
 // Every subsystem (one-shot partitioner, repart warm restarts, hier
 // per-node solves) funnels into the assignment sweep of Algorithm 1/2; this
-// engine owns that hot path. Four ideas, independently toggleable through
-// Settings:
+// engine owns that hot path. Four ideas:
 //
 //   1. Squared effective-distance domain. Candidates are compared as
-//      dist²(p,c) · (1/influence(c)²); x ↦ x² is monotone on non-negative
+//      dist²(p,c) · (1/influence(c)²) by the shared tile kernel
+//      (core/tile_kernel.hpp); x ↦ x² is monotone on non-negative
 //      effective distances, so the argmin (and the bbox-pruning break) are
 //      unchanged while the per-candidate sqrt disappears. Only when a point
 //      is actually (re)assigned are its Hamerly bounds materialized — at
-//      most two sqrts per assigned point, computed with the exact same
-//      expression (`distance(p,c)/influence(c)`) the scalar reference path
-//      uses, so ub/lb stay bitwise identical between modes.
+//      most two sqrts per assigned point, computed with the seed
+//      algorithm's expression `distance(p,c)/influence(c)`, so ub/lb stay
+//      bitwise equal to the seed's.
 //   2. Lazy epoch-based bounds. Influence adaptation and center movement no
 //      longer sweep all n points to relax ub/lb; they append one epoch
 //      (per-cluster ratio/shift + the min-ratio/max-shift scalars) to a log,
@@ -30,22 +30,24 @@
 //      regenerated from the caller's points on every pass. The sweep walks
 //      the waves in order, each wave's fixed 1024-point blocks in parallel,
 //      gathers the not-skipped points of each block into contiguous
-//      scratch, and runs an auto-vectorizable centers-outer / points-inner
-//      kernel with branchless best/second tracking. Weighted cluster sizes
-//      are accumulated per block and reduced in block order.
-//   4. Intra-rank threading (Settings::threads; the old name assignThreads
-//      survives as a deprecated alias) via par::parallelFor over whole
-//      blocks. Because block (and wave) boundaries are fixed and the block
-//      partials are reduced serially in ascending global block order —
-//      waves ascending, blocks within a wave ascending, which is the same
+//      scratch, and folds the centers into it one at a time, in ascending
+//      (pruning key, id) order, tracking best and second best per lane.
+//      Weighted cluster sizes are accumulated per block and reduced in
+//      block order.
+//   4. Intra-rank threading (Settings::threads) via par::parallelFor over
+//      whole blocks. Because block (and wave) boundaries are fixed and the
+//      block partials are reduced serially in ascending global block order
+//      — waves ascending, blocks within a wave ascending, which is the same
 //      left fold the resident path performs — results are bitwise
 //      identical at every thread count AND every memory budget. The same
 //      contract covers updateCenters(), the threaded Alg. 2 line-13
 //      reduction.
 //
-// Settings::referenceAssignment selects the scalar sqrt-domain kernel (the
-// seed implementation's per-candidate loop) as an equivalence oracle; the
-// suite in tests/test_kmeans.cpp proves fast == reference == seed exactly.
+// Bounds and bbox pruning can be switched off through Settings
+// (hamerlyBounds, boundingBoxPruning) for the ablation benches, and
+// Settings::useKdTree swaps the linear scan for a CenterKdTree query. The
+// oracle lives in the tests: tests/test_kmeans.cpp embeds the seed
+// algorithm and checks that the engine reproduces it exactly.
 #pragma once
 
 #include <array>
@@ -131,9 +133,9 @@ private:
         bool move = false;
     };
 
-    /// Per-worker scratch: gathered coordinates + kernel state. Center ids
-    /// are tracked as doubles inside the batch kernel so every lane of the
-    /// select has one width (vectorizer-friendly); materialization narrows.
+    /// Per-worker scratch: gathered coordinates + kernel state (the lanes of
+    /// core::TileLanes; center ids travel as doubles, materialization
+    /// narrows them).
     struct Scratch {
         std::vector<std::size_t> pointIdx;  ///< global point id per gathered slot
         std::array<std::vector<double>, static_cast<std::size_t>(D)> gx;
@@ -145,7 +147,6 @@ private:
                       std::size_t block, Scratch& scratch, double* blockSizes);
     void batchKernel(Scratch& scratch, std::size_t m);
     void recordStoreCounters();
-    void assignPointReference(std::size_t p, KMeansCounters& counters);
     void applyEpochs(std::size_t p, KMeansCounters& counters);
     [[nodiscard]] std::uint32_t currentEpoch() const noexcept {
         return static_cast<std::uint32_t>(epochs_.size());

@@ -24,10 +24,9 @@ void CenterKdTree<D>::rebuild(std::span<const Point<D>> centers,
     GEO_REQUIRE(!centers.empty(), "kd-tree needs at least one center");
     GEO_REQUIRE(centers.size() == influence.size(), "one influence per center");
     centers_.assign(centers.begin(), centers.end());
-    influence_.assign(influence.begin(), influence.end());
-    invInfluence2_.resize(influence_.size());
-    for (std::size_t c = 0; c < influence_.size(); ++c)
-        invInfluence2_[c] = 1.0 / (influence_[c] * influence_[c]);
+    invInfluence2_.resize(influence.size());
+    for (std::size_t c = 0; c < influence.size(); ++c)
+        invInfluence2_[c] = 1.0 / (influence[c] * influence[c]);
     order_.resize(centers_.size());
     for (std::size_t i = 0; i < order_.size(); ++i)
         order_[i] = static_cast<std::int32_t>(i);
@@ -40,14 +39,14 @@ template <int D>
 std::int32_t CenterKdTree<D>::build(std::int32_t begin, std::int32_t end, int depth) {
     Node node;
     node.bounds = Box<D>::empty();
-    node.maxInfluence = 0.0;
+    // 1/x² rounds monotonically, so the smallest 1/influence² is exactly
+    // 1/maxInfluence².
+    node.invMaxInfluence2 = kInf;
     for (std::int32_t i = begin; i < end; ++i) {
-        const auto c = order_[static_cast<std::size_t>(i)];
-        node.bounds.extend(centers_[static_cast<std::size_t>(c)]);
-        node.maxInfluence =
-            std::max(node.maxInfluence, influence_[static_cast<std::size_t>(c)]);
+        const auto c = static_cast<std::size_t>(order_[static_cast<std::size_t>(i)]);
+        node.bounds.extend(centers_[c]);
+        node.invMaxInfluence2 = std::min(node.invMaxInfluence2, invInfluence2_[c]);
     }
-    node.invMaxInfluence2 = 1.0 / (node.maxInfluence * node.maxInfluence);
     node.begin = begin;
     node.end = end;
 
@@ -71,49 +70,11 @@ std::int32_t CenterKdTree<D>::build(std::int32_t begin, std::int32_t end, int de
 }
 
 template <int D>
-void CenterKdTree<D>::search(std::int32_t nodeId, const Point<D>& p,
-                             QueryResult& out) const {
-    const Node& node = nodes_[static_cast<std::size_t>(nodeId)];
-    // Lower bound on any effective distance inside this subtree.
-    const double bound = node.bounds.minDistance(p) / node.maxInfluence;
-    if (bound >= out.secondDistance) return;
-
-    if (node.left < 0) {
-        for (std::int32_t i = node.begin; i < node.end; ++i) {
-            const auto c = order_[static_cast<std::size_t>(i)];
-            const double eff = distance(p, centers_[static_cast<std::size_t>(c)]) /
-                               influence_[static_cast<std::size_t>(c)];
-            if (eff < out.bestDistance) {
-                out.secondDistance = out.bestDistance;
-                out.bestDistance = eff;
-                out.best = c;
-            } else if (eff < out.secondDistance) {
-                out.secondDistance = eff;
-            }
-        }
-        return;
-    }
-    // Visit the child whose box is closer first (better pruning).
-    const auto& l = nodes_[static_cast<std::size_t>(node.left)];
-    const auto& r = nodes_[static_cast<std::size_t>(node.right)];
-    const double dl = l.bounds.minDistance(p) / l.maxInfluence;
-    const double dr = r.bounds.minDistance(p) / r.maxInfluence;
-    if (dl <= dr) {
-        search(node.left, p, out);
-        search(node.right, p, out);
-    } else {
-        search(node.right, p, out);
-        search(node.left, p, out);
-    }
-}
-
-template <int D>
 void CenterKdTree<D>::searchSquared(std::int32_t nodeId, const Point<D>& p,
                                     IdResult& out, double& best2,
                                     double& second2) const {
     const Node& node = nodes_[static_cast<std::size_t>(nodeId)];
-    // Squared-domain lower bound: minDist²/maxInfluence² — same pruning
-    // decision as the sqrt path up to rounding, conservative either way.
+    // Squared-domain lower bound on any effective distance in this subtree.
     const double bound2 = node.bounds.minSquaredDistance(p) * node.invMaxInfluence2;
     if (bound2 >= second2) return;
 
@@ -145,16 +106,6 @@ void CenterKdTree<D>::searchSquared(std::int32_t nodeId, const Point<D>& p,
         searchSquared(node.right, p, out, best2, second2);
         searchSquared(node.left, p, out, best2, second2);
     }
-}
-
-template <int D>
-typename CenterKdTree<D>::QueryResult CenterKdTree<D>::query(const Point<D>& p) const {
-    QueryResult out;
-    out.bestDistance = kInf;
-    out.secondDistance = kInf;
-    search(root_, p, out);
-    GEO_CHECK(out.best >= 0, "kd-tree query found no center");
-    return out;
 }
 
 template <int D>

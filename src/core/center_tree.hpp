@@ -7,17 +7,13 @@
 // branch-and-bound pruning, correctly handling the multiplicative weights
 // by tracking the maximum influence per subtree.
 //
-// Two query flavours share one tree:
-//   * query()           — sqrt domain, returns effective distances (the seed
-//                         semantics; reference assignment mode),
-//   * queryNearestIds() — squared effective-distance domain; computes and
-//                         prunes on dist²·(1/influence²) so no sqrt is taken
-//                         anywhere on the path, and returns only the best /
-//                         second-best center ids (the fast assignment engine
-//                         materializes the Hamerly bounds itself).
-// Both answer the same argmin: x ↦ x² is monotone on the non-negative
-// effective distances, so the squared comparisons order candidates and
-// subtree bounds identically.
+// queryNearestIds() works in the squared effective-distance domain: it
+// computes and prunes on dist²·(1/influence²), so no sqrt is taken anywhere
+// on the path, and returns only the best / second-best center ids (the
+// assignment engine materializes the Hamerly bounds itself). x ↦ x² is
+// monotone on the non-negative effective distances, so this is the same
+// argmin as the sqrt-domain definition. Candidates are visited in tree
+// order, so an exact tie may resolve to either center.
 #pragma once
 
 #include <cstdint>
@@ -42,15 +38,6 @@ public:
     /// round — reuses all node/order/center storage instead of reallocating).
     void rebuild(std::span<const Point<D>> centers, std::span<const double> influence);
 
-    struct QueryResult {
-        std::int32_t best = -1;
-        double bestDistance = 0.0;    ///< effective distance to best
-        double secondDistance = 0.0;  ///< effective distance to runner-up
-    };
-
-    /// Best and second-best cluster by effective distance (sqrt domain).
-    [[nodiscard]] QueryResult query(const Point<D>& p) const;
-
     struct IdResult {
         std::int32_t best = -1;
         std::int32_t second = -1;  ///< -1 when the tree holds a single center
@@ -66,20 +53,17 @@ public:
 
 private:
     struct Node {
-        Box<D> bounds;          ///< bounding box of centers in this subtree
-        double maxInfluence;    ///< pruning bound: eff dist >= minDist/maxInfl
-        double invMaxInfluence2;  ///< 1/maxInfluence² for squared-domain pruning
+        Box<D> bounds;            ///< bounding box of centers in this subtree
+        double invMaxInfluence2;  ///< pruning bound: eff² >= minDist² · this
         std::int32_t left = -1, right = -1;  ///< children; -1 = leaf
         std::int32_t begin = 0, end = 0;     ///< center range (leaf)
     };
 
     std::int32_t build(std::int32_t begin, std::int32_t end, int depth);
-    void search(std::int32_t nodeId, const Point<D>& p, QueryResult& out) const;
     void searchSquared(std::int32_t nodeId, const Point<D>& p, IdResult& out,
                        double& best2, double& second2) const;
 
     std::vector<Point<D>> centers_;
-    std::vector<double> influence_;
     std::vector<double> invInfluence2_;  ///< 1/influence² per center
     std::vector<std::int32_t> order_;  ///< center ids, permuted by the build
     std::vector<Node> nodes_;

@@ -68,22 +68,15 @@ struct Settings {
     /// assignment sweep and center update (core/assign_kernel), and the
     /// graph metrics. Results are bitwise identical at every thread count:
     /// work is split at fixed cache-block boundaries and reduced in block
-    /// order (DESIGN.md "Threading model"). 0 = unset: fall back to the
-    /// deprecated `assignThreads` alias, then to GEO_THREADS/1. Callers
-    /// read the resolved value via resolvedThreads().
+    /// order (DESIGN.md "Threading model"). 0 = unset: fall back to
+    /// GEO_THREADS, then 1. Callers read the resolved value via
+    /// resolvedThreads().
     int threads = 0;
 
-    /// DEPRECATED alias for `threads` (pre-PR-4 name, when only the
-    /// assignment sweep was threaded). Honored only while `threads` is
-    /// unset (0); new code should set `threads`.
-    int assignThreads = 0;
-
-    /// The thread count every phase actually uses: `threads` if set,
-    /// else the deprecated `assignThreads`, else defaultThreads()
-    /// (GEO_THREADS or 1).
+    /// The thread count every phase actually uses: `threads` if set, else
+    /// defaultThreads() (GEO_THREADS or 1).
     [[nodiscard]] int resolvedThreads() const noexcept {
         if (threads >= 1) return threads;
-        if (assignThreads >= 1) return assignThreads;
         return defaultThreads();
     }
 
@@ -153,12 +146,6 @@ struct Settings {
         if (memoryBudgetBytes > 0) return memoryBudgetBytes;
         return support::envMemoryBudget();
     }
-
-    /// Equivalence mode: run the scalar sqrt-domain reference kernel (the
-    /// seed implementation's per-candidate loop) instead of the SoA
-    /// squared-domain batch kernel. Exists so tests and benches can prove the
-    /// fast engine reproduces the reference outcomes exactly.
-    bool referenceAssignment = false;
 
     /// RNG seed for the sampling permutation.
     std::uint64_t seed = 1;

@@ -1,19 +1,14 @@
 #include "serve/snapshot.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <limits>
 
+#include "core/tile_kernel.hpp"
 #include "par/comm.hpp"
 #include "support/assert.hpp"
 #include "support/binio.hpp"
-
-#if defined(__SSE2__)
-#define GEO_SERVE_SSE2 1
-#include <emmintrin.h>
-#endif
 
 namespace geo::serve {
 
@@ -84,32 +79,8 @@ void PartitionSnapshot<D>::finalize(const SnapshotOptions& options) {
     for (const std::int32_t rank : blockRank_)
         GEO_REQUIRE(rank >= 0, "block → rank map entry out of range");
 
-    compact_ = false;
-    if (options.compactCenters && depth() == 1) {
-        Level& flat = levels_.front();
-        const auto entries = static_cast<std::size_t>(k_);
-        centerAbsMax_.fill(0.0);
-        invInfluence2Max_ = 0.0;
-        for (int d = 0; d < D; ++d) {
-            auto& mirror = flat.cx32[static_cast<std::size_t>(d)];
-            mirror.resize(entries);
-            for (std::size_t c = 0; c < entries; ++c) {
-                const double v = flat.cx[static_cast<std::size_t>(d)][c];
-                mirror[c] = static_cast<float>(v);
-                centerAbsMax_[static_cast<std::size_t>(d)] =
-                    std::max(centerAbsMax_[static_cast<std::size_t>(d)], std::abs(v));
-            }
-        }
-        flat.invInfluence232.resize(entries);
-        for (std::size_t c = 0; c < entries; ++c) {
-            flat.invInfluence232[c] = static_cast<float>(flat.invInfluence2[c]);
-            invInfluence2Max_ = std::max(invInfluence2Max_, flat.invInfluence2[c]);
-        }
-        compact_ = true;
-    }
-
     useTree_ = false;
-    if (!compact_ && depth() == 1 && options.kdTreeFromK > 0 &&
+    if (depth() == 1 && options.kdTreeFromK > 0 &&
         k_ >= options.kdTreeFromK) {
         const Level& flat = levels_.front();
         std::vector<Point<D>> centers(static_cast<std::size_t>(k_));
@@ -235,6 +206,11 @@ std::int32_t PartitionSnapshot<D>::rankOf(std::int32_t block) const {
     return blockRank_.empty() ? -1 : blockRank_[static_cast<std::size_t>(block)];
 }
 
+/// Single-point lookup. A one-lane pass through the branchless tile kernel
+/// would be latency-bound (each center's min/select waits on the last), so
+/// this path scans with a predictable branch instead — the same e2
+/// arithmetic, centers in id order, strict `<`: the tile kernel's answer
+/// and tie rule.
 template <int D>
 std::int32_t PartitionSnapshot<D>::blockOf(const Point<D>& p) const {
     if (useTree_) return tree_.queryNearestIds(p).best;
@@ -261,29 +237,17 @@ std::int32_t PartitionSnapshot<D>::blockOf(const Point<D>& p) const {
     return static_cast<std::int32_t>(node);
 }
 
-/// One tile through the flat branchless kernel (depth-1, no tree): lanes are
-/// points, the outer loop walks centers, and best/bestC update via pure
-/// min + flat selects — the same if-convertible shape as the assignment
-/// engine's batch kernel, minus the second-best and pruning lanes. Center
-/// ids travel as doubles so every select lane has one vector width.
+/// One tile of a flat linear-scan snapshot: the points are gathered into SoA
+/// lanes and the shared tile kernel (core/tile_kernel.hpp) folds every
+/// center into them in id order, so an exact tie resolves to the lowest id.
+/// Tree and hierarchical snapshots answer point by point.
 template <int D>
 void PartitionSnapshot<D>::routeTile(const Point<D>* pts, std::size_t count,
                                      std::int32_t* out) const {
-    if (useTree_) {
-        for (std::size_t i = 0; i < count; ++i)
-            out[i] = tree_.queryNearestIds(pts[i]).best;
-        return;
-    }
-    if (depth() > 1) {
+    if (useTree_ || depth() > 1) {
         for (std::size_t i = 0; i < count; ++i) out[i] = blockOf(pts[i]);
         return;
     }
-    if (compact_) {
-        routeTileCompact(pts, count, out);
-        return;
-    }
-
-    const Level& flat = levels_.front();
     double gx[static_cast<std::size_t>(D)][kRouteTile];
     double best2[kRouteTile];
     double bestC[kRouteTile];
@@ -292,174 +256,18 @@ void PartitionSnapshot<D>::routeTile(const Point<D>* pts, std::size_t count,
         best2[i] = kInf;
         bestC[i] = 0.0;
     }
-
-    const auto k = static_cast<std::size_t>(flat.branching);
-    for (std::size_t c = 0; c < k; ++c) {
-        std::array<double, static_cast<std::size_t>(D)> cx;
-        for (int d = 0; d < D; ++d)
-            cx[static_cast<std::size_t>(d)] = flat.cx[static_cast<std::size_t>(d)][c];
-        const double inv = flat.invInfluence2[c];
-        const auto cd = static_cast<double>(c);
-
-        const auto scalarLanes = [&](std::size_t from, std::size_t to) {
-            for (std::size_t j = from; j < to; ++j) {
-                double d2 = 0.0;
-                for (int d = 0; d < D; ++d) {
-                    const double diff =
-                        gx[static_cast<std::size_t>(d)][j] - cx[static_cast<std::size_t>(d)];
-                    d2 += diff * diff;
-                }
-                const double e2 = d2 * inv;
-                const double ob = best2[j];
-                best2[j] = std::min(e2, ob);
-                bestC[j] = e2 < ob ? cd : bestC[j];
-            }
-        };
-#if GEO_SERVE_SSE2
-        const __m128d cdv = _mm_set1_pd(cd);
-        const __m128d invv = _mm_set1_pd(inv);
-        std::size_t j = 0;
-        for (; j + 2 <= count; j += 2) {
-            __m128d d2 = _mm_setzero_pd();
-            for (int d = 0; d < D; ++d) {
-                const __m128d diff =
-                    _mm_sub_pd(_mm_loadu_pd(&gx[static_cast<std::size_t>(d)][j]),
-                               _mm_set1_pd(cx[static_cast<std::size_t>(d)]));
-                d2 = _mm_add_pd(d2, _mm_mul_pd(diff, diff));
-            }
-            const __m128d e2 = _mm_mul_pd(d2, invv);
-            const __m128d ob = _mm_loadu_pd(best2 + j);
-            const __m128d obc = _mm_loadu_pd(bestC + j);
-            const __m128d mb = _mm_cmplt_pd(e2, ob);
-            _mm_storeu_pd(best2 + j, _mm_min_pd(e2, ob));
-            _mm_storeu_pd(bestC + j,
-                          _mm_or_pd(_mm_and_pd(mb, cdv), _mm_andnot_pd(mb, obc)));
-        }
-        scalarLanes(j, count);
-#else
-        scalarLanes(0, count);
-#endif
+    core::TileLanes<D> lanes;
+    for (std::size_t d = 0; d < static_cast<std::size_t>(D); ++d) lanes.x[d] = gx[d];
+    lanes.best2 = best2;
+    lanes.bestC = bestC;
+    const Level& flat = levels_.front();
+    for (std::size_t c = 0; c < static_cast<std::size_t>(flat.branching); ++c) {
+        Point<D> center;
+        for (int d = 0; d < D; ++d) center[d] = flat.cx[static_cast<std::size_t>(d)][c];
+        core::foldCenter<D, false>(lanes, count, center, flat.invInfluence2[c],
+                                   static_cast<double>(c));
     }
     for (std::size_t i = 0; i < count; ++i) out[i] = static_cast<std::int32_t>(bestC[i]);
-}
-
-namespace {
-
-/// Slack factor for the compact kernel's rounding guard. Walking the error
-/// terms — fp32 conversion of both operands (u·M each), the rounded
-/// subtract (2u·M), squaring against |diff| ≤ 2M, the D-term rounded sum,
-/// and the rounded multiply by the converted 1/influence² — bounds the
-/// constant in front of u·inv·Σ_d M_d² by roughly 28 + 4D (≤ 40 for D = 3).
-/// 128 triples that for headroom while the guard stays ~8e-6 relative —
-/// far below typical best/second margins, so fallbacks stay rare.
-constexpr double kCompactSlack = 128.0;
-
-/// Unit roundoff of fp32.
-constexpr double kF32Unit = 0x1p-24;
-
-}  // namespace
-
-/// fp32 tile kernel with an exactness guard. Per tile it computes, from the
-/// lane coordinates and the precomputed center maxima, a conservative
-/// absolute bound E on |e2_f32 − e2_f64| valid for EVERY (lane, center)
-/// pair of the tile:
-///
-///   |Δe2| ≤ K·u·inv_max·Σ_d M_d²,   M_d = max(|x_d|, |c_d|) over the tile
-///
-/// (diff_d may cancel to near zero, but its absolute error is bounded by
-/// O(u·M_d); squaring against |diff_d| ≤ 2·M_d and summing keeps everything
-/// inside the Σ M_d² envelope — kCompactSlack absorbs the constants). If the
-/// fp32 margin second2 − best2 exceeds 2E, the fp32 winner is the strict
-/// fp64 argmin: for any rival b, e2_64(b) ≥ e2_32(b) − E > e2_32(best) + E ≥
-/// e2_64(best). Otherwise — including exact fp32 ties, overflow to inf, and
-/// the inf−inf NaN case, all of which fail the `> 2E` comparison — the lane
-/// re-resolves through the exact fp64 scan with its lowest-id tie rule.
-/// Routes are therefore bitwise identical to the fp64 path by construction.
-template <int D>
-void PartitionSnapshot<D>::routeTileCompact(const Point<D>* pts, std::size_t count,
-                                            std::int32_t* out) const {
-    const Level& flat = levels_.front();
-    constexpr float kInfF = std::numeric_limits<float>::infinity();
-    float gx[static_cast<std::size_t>(D)][kRouteTile];
-    float best2[kRouteTile];
-    float second2[kRouteTile];
-    std::int32_t bestC[kRouteTile];
-
-    std::array<double, static_cast<std::size_t>(D)> m = centerAbsMax_;
-    for (std::size_t i = 0; i < count; ++i) {
-        for (int d = 0; d < D; ++d) {
-            const double v = pts[i][d];
-            gx[static_cast<std::size_t>(d)][i] = static_cast<float>(v);
-            m[static_cast<std::size_t>(d)] =
-                std::max(m[static_cast<std::size_t>(d)], std::abs(v));
-        }
-        best2[i] = kInfF;
-        second2[i] = kInfF;
-        bestC[i] = 0;
-    }
-    double mag2 = 0.0;
-    for (int d = 0; d < D; ++d)
-        mag2 += m[static_cast<std::size_t>(d)] * m[static_cast<std::size_t>(d)];
-    const double guard = 2.0 * kCompactSlack * kF32Unit * invInfluence2Max_ * mag2;
-
-    const auto k = static_cast<std::size_t>(flat.branching);
-    for (std::size_t c = 0; c < k; ++c) {
-        std::array<float, static_cast<std::size_t>(D)> cx;
-        for (int d = 0; d < D; ++d)
-            cx[static_cast<std::size_t>(d)] =
-                flat.cx32[static_cast<std::size_t>(d)][c];
-        const float inv = flat.invInfluence232[c];
-        const auto ci = static_cast<std::int32_t>(c);
-        for (std::size_t j = 0; j < count; ++j) {
-            float d2 = 0.0F;
-            for (int d = 0; d < D; ++d) {
-                const float diff =
-                    gx[static_cast<std::size_t>(d)][j] - cx[static_cast<std::size_t>(d)];
-                d2 += diff * diff;
-            }
-            const float e2 = d2 * inv;
-            const float ob = best2[j];
-            best2[j] = std::min(e2, ob);
-            second2[j] = std::min(second2[j], std::max(e2, ob));
-            bestC[j] = e2 < ob ? ci : bestC[j];
-        }
-    }
-
-    std::uint64_t fellBack = 0;
-    for (std::size_t i = 0; i < count; ++i) {
-        if (static_cast<double>(second2[i]) - static_cast<double>(best2[i]) > guard) {
-            out[i] = bestC[i];
-        } else {
-            out[i] = scanFlatExact(pts[i]);
-            ++fellBack;
-        }
-    }
-    if (fellBack != 0)
-        fallbacks_.value.fetch_add(fellBack, std::memory_order_relaxed);
-}
-
-/// Exact fp64 linear scan over a flat snapshot's centers — the compact
-/// kernel's fallback; same loop (and lowest-id tie rule) as the depth-1
-/// body of the single-point blockOf.
-template <int D>
-std::int32_t PartitionSnapshot<D>::scanFlatExact(const Point<D>& p) const {
-    const Level& flat = levels_.front();
-    const auto k = static_cast<std::size_t>(flat.branching);
-    double best2 = kInf;
-    std::size_t best = 0;
-    for (std::size_t c = 0; c < k; ++c) {
-        double d2 = 0.0;
-        for (int d = 0; d < D; ++d) {
-            const double diff = p[d] - flat.cx[static_cast<std::size_t>(d)][c];
-            d2 += diff * diff;
-        }
-        const double e2 = d2 * flat.invInfluence2[c];
-        if (e2 < best2) {
-            best2 = e2;
-            best = c;
-        }
-    }
-    return static_cast<std::int32_t>(best);
 }
 
 template <int D>

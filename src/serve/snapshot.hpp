@@ -5,10 +5,9 @@
 // point in space, not just the inputs the partitioner saw. A
 // PartitionSnapshot freezes that state into a read-only query structure:
 //   * SoA center coordinates plus precomputed 1/influence² per block, so
-//     lookups run the same sqrt-free squared-effective-distance comparison
-//     the assignment engine uses (core/assign_kernel invariant: x ↦ x² is
-//     monotone on non-negative effective distances, so the argmin matches
-//     the sqrt-domain reference bitwise),
+//     lookups run the assignment engine's sqrt-free squared-effective-
+//     distance comparison — batched lookups through the same tile kernel,
+//     core/tile_kernel.hpp, folding the centers into a tile of points,
 //   * an optional core::CenterKdTree over the centers for large k
 //     (SnapshotOptions::kdTreeFromK), answering the same squared-domain
 //     argmin in O(log k),
@@ -22,13 +21,19 @@
 // Exactness contract: a snapshot built from a GeographerResult routes every
 // input point of that run to exactly the block `partition` records, because
 // it snapshots `assignmentInfluence` — the influence the final assignment
-// sweep actually used (see GeographerResult). Exact argmin ties are
-// possible only for duplicated centers (reachable: an empty cluster keeps
-// its seeded center); the linear-scan and descent paths resolve them to the
-// lowest block id, while the kd-tree path visits centers in tree order and
-// may pick the duplicate — the same caveat the engine's own
-// Settings::useKdTree mode carries relative to its scalar scan. With
-// distinct centers (every real run in the suite) all paths agree bitwise.
+// sweep actually used (see GeographerResult).
+//
+// Ties: a point can be exactly equidistant (in effective distance) from two
+// centers — duplicated centers (an empty cluster keeps its seeded center),
+// or a point on a bisector. The linear-scan and descent paths visit
+// centers in id order with a strict `<` and resolve a tie to the lowest
+// block id. The assignment engine visits centers in ascending (pruning
+// key, id) order, so it agrees whenever the tied centers' keys are equal —
+// in particular when both lie inside the rank's active box, where every key
+// is 0. Tied centers whose keys differ (one of them outside the active box,
+// as happens with several ranks or warm starts) may still resolve
+// differently, and so may the kd-tree paths of both, which visit centers in
+// tree order.
 //
 // Snapshots are immutable after construction; every member function is
 // const and safe to call from any number of threads concurrently. The
@@ -37,7 +42,6 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
@@ -60,17 +64,6 @@ struct SnapshotOptions {
     /// lookups then answer the argmin in O(log k) instead of scanning all
     /// centers. 0 disables the tree entirely.
     std::int32_t kdTreeFromK = 128;
-
-    /// Compact-center mode for flat (depth-1) snapshots: the batched route
-    /// kernel scans fp32 mirrors of the centers and 1/influence² (half the
-    /// cache and memory bandwidth per candidate; no kd-tree is built), with
-    /// an exactness guard: any lane whose fp32 best-vs-second margin falls
-    /// within a conservative per-tile rounding bound — i.e. any route the
-    /// fp32 arithmetic could have flipped — is re-resolved by the exact
-    /// fp64 scan. Routes are therefore ALWAYS identical to the fp64 path
-    /// (compactFallbacks() counts the re-resolved lanes). Ignored for
-    /// hierarchical snapshots.
-    bool compactCenters = false;
 };
 
 template <int D>
@@ -85,11 +78,6 @@ public:
         std::array<std::vector<double>, static_cast<std::size_t>(D)> cx;
         std::vector<double> influence;
         std::vector<double> invInfluence2;  ///< derived: 1/influence²
-        /// fp32 mirrors for the compact route kernel (filled only when
-        /// SnapshotOptions::compactCenters is active on a flat snapshot;
-        /// the fp64 arrays stay as the exactness-fallback cold path).
-        std::array<std::vector<float>, static_cast<std::size_t>(D)> cx32;
-        std::vector<float> invInfluence232;
     };
 
     /// Flat snapshot from a completed (or warm-repartitioned) run. Uses
@@ -131,16 +119,7 @@ public:
     [[nodiscard]] std::int32_t blockCount() const noexcept { return k_; }
     [[nodiscard]] int depth() const noexcept { return static_cast<int>(levels_.size()); }
     [[nodiscard]] bool usesKdTree() const noexcept { return useTree_; }
-    [[nodiscard]] bool usesCompactCenters() const noexcept { return compact_; }
     [[nodiscard]] bool hasRankMap() const noexcept { return !blockRank_.empty(); }
-
-    /// Lanes the compact fp32 kernel handed back to the exact fp64 scan
-    /// because their margin was within the rounding guard (0 when
-    /// compactCenters is off). Cumulative over the snapshot's lifetime;
-    /// relaxed atomic, safe under concurrent readers.
-    [[nodiscard]] std::uint64_t compactFallbacks() const noexcept {
-        return fallbacks_.value.load(std::memory_order_relaxed);
-    }
 
     /// Topology leaf of `block` (identity when the snapshot carries no
     /// explicit mapping — the hier convention block id == leaf id).
@@ -153,10 +132,10 @@ public:
     [[nodiscard]] std::int32_t blockOf(const Point<D>& p) const;
 
     /// Batched lookup: `blocks[i]` = block of `points[i]`. Serial but
-    /// cache-blocked — fixed 1024-point tiles through a branchless
-    /// centers-outer / points-inner squared-domain kernel (the Router fans
-    /// tiles out over its worker threads). Per-point results are
-    /// independent, so any split of the input produces identical output.
+    /// cache-blocked — fixed 1024-point tiles through the branchless
+    /// centers-outer / points-inner tile kernel (the Router fans tiles out
+    /// over its worker threads). Per-point results are independent, so any
+    /// split of the input produces identical output.
     void blockOf(std::span<const Point<D>> points,
                  std::span<std::int32_t> blocks) const;
 
@@ -172,23 +151,6 @@ private:
     PartitionSnapshot() = default;
     void finalize(const SnapshotOptions& options);  ///< derived state + checks
     void routeTile(const Point<D>* pts, std::size_t count, std::int32_t* out) const;
-    void routeTileCompact(const Point<D>* pts, std::size_t count,
-                          std::int32_t* out) const;
-    [[nodiscard]] std::int32_t scanFlatExact(const Point<D>& p) const;
-
-    /// Copyable relaxed counter: snapshots are returned by value from the
-    /// builders, and std::atomic alone would delete those moves.
-    struct RelaxedCounter {
-        std::atomic<std::uint64_t> value{0};
-        RelaxedCounter() = default;
-        RelaxedCounter(const RelaxedCounter& o)
-            : value(o.value.load(std::memory_order_relaxed)) {}
-        RelaxedCounter& operator=(const RelaxedCounter& o) {
-            value.store(o.value.load(std::memory_order_relaxed),
-                        std::memory_order_relaxed);
-            return *this;
-        }
-    };
 
     std::uint64_t version_ = 0;
     std::int32_t k_ = 0;
@@ -197,12 +159,6 @@ private:
     std::vector<std::int32_t> blockRank_;  ///< empty = no rank map
     core::CenterKdTree<D> tree_;
     bool useTree_ = false;
-    bool compact_ = false;
-    /// Guard-bound ingredients, precomputed over the centers at finalize:
-    /// per-dimension max |coordinate| and the largest 1/influence².
-    std::array<double, static_cast<std::size_t>(D)> centerAbsMax_{};
-    double invInfluence2Max_ = 0.0;
-    mutable RelaxedCounter fallbacks_;
 };
 
 extern template class PartitionSnapshot<2>;

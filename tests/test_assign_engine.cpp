@@ -61,50 +61,45 @@ std::int32_t nearestCenter(const Point<D>& p, const std::vector<Point<D>>& cente
 /// skips centers that can still win. The engine must only consult keys
 /// computed this round.
 TEST(AssignEngine, StaleKeysAreNotConsultedWhenBoxIsInvalid) {
-    for (const bool reference : {false, true}) {
-        // p0 sits far out so round 1 computes a huge key for every center;
-        // p1 sits exactly on center 2.
-        const std::vector<Point2> points{Point2{{100.0, 0.0}}, Point2{{5.0, 0.0}}};
-        const std::vector<Point2> centers{Point2{{0.0, 0.0}}, Point2{{0.1, 0.0}},
-                                          Point2{{5.0, 0.0}}};
-        const std::vector<double> influence(3, 1.0);
-        Settings s;
-        s.referenceAssignment = reference;
-        s.boundingBoxPruning = true;
-        s.hamerlyBounds = true;
-        AssignEngine<2> engine(points, {}, s, 3);
-        std::vector<double> sizes(3, 0.0);
+    // p0 sits far out so round 1 computes a huge key for every center;
+    // p1 sits exactly on center 2.
+    const std::vector<Point2> points{Point2{{100.0, 0.0}}, Point2{{5.0, 0.0}}};
+    const std::vector<Point2> centers{Point2{{0.0, 0.0}}, Point2{{0.1, 0.0}},
+                                      Point2{{5.0, 0.0}}};
+    const std::vector<double> influence(3, 1.0);
+    Settings s;
+    s.boundingBoxPruning = true;
+    s.hamerlyBounds = true;
+    AssignEngine<2> engine(points, {}, s, 3);
+    std::vector<double> sizes(3, 0.0);
 
-        // Round 1: only p0 active; its box is far from every center, so the
-        // pruning keys are all large (key for center 2 ≈ 95).
-        const std::vector<std::size_t> round1{0};
-        engine.setActive(round1, 1);
-        engine.beginRound(centers, influence, engine.activeBox());
-        engine.sweep(sizes);
+    // Round 1: only p0 active; its box is far from every center, so the
+    // pruning keys are all large (key for center 2 ≈ 95²).
+    const std::vector<std::size_t> round1{0};
+    engine.setActive(round1, 1);
+    engine.beginRound(centers, influence, engine.activeBox());
+    engine.sweep(sizes);
 
-        // Round 2: only p1 active, but the caller supplies an *invalid* box
-        // (the state of a rank with no active points). With stale keys the
-        // identity-order scan would compute centers 0 and 1 (eff dist 5 and
-        // 4.9), see stale key[2] ≈ 95 > second ≈ 5 and break — wrongly
-        // assigning p1 to center 1. Fresh guard: no keys, full scan.
-        const std::vector<std::size_t> round2{1};
-        engine.setActive(round2, 1);
-        engine.beginRound(centers, influence, Box2::empty());
-        engine.sweep(sizes);
-        EXPECT_EQ(engine.assignment()[1], 2)
-            << (reference ? "reference" : "fast") << " mode consulted stale keys";
-    }
+    // Round 2: only p1 active, but the caller supplies an *invalid* box
+    // (the state of a rank with no active points). With stale keys the
+    // identity-order scan would fold centers 0 and 1 (eff dist² 25 and
+    // 24.01), see stale key[2] ≈ 95² > second ≈ 25, retire the lane and
+    // wrongly assign p1 to center 1. Fresh guard: no keys, full scan.
+    const std::vector<std::size_t> round2{1};
+    engine.setActive(round2, 1);
+    engine.beginRound(centers, influence, Box2::empty());
+    engine.sweep(sizes);
+    EXPECT_EQ(engine.assignment()[1], 2) << "the engine consulted stale keys";
 }
 
-class EngineModeSweep : public ::testing::TestWithParam<std::tuple<bool, bool, int>> {};
+class EngineModeSweep : public ::testing::TestWithParam<std::tuple<bool, int>> {};
 INSTANTIATE_TEST_SUITE_P(
     Modes, EngineModeSweep,
-    ::testing::Combine(::testing::Bool(),          // referenceAssignment
-                       ::testing::Bool(),          // useKdTree
+    ::testing::Combine(::testing::Bool(),          // useKdTree
                        ::testing::Values(1, 3)));  // threads
 
 TEST_P(EngineModeSweep, SingleSweepMatchesBruteForce) {
-    const auto [reference, kdTree, threads] = GetParam();
+    const auto [kdTree, threads] = GetParam();
     const auto points = randomPoints<2>(4000, 211);
     const auto centers = randomPoints<2>(23, 223);
     Xoshiro256 rng(227);
@@ -112,7 +107,6 @@ TEST_P(EngineModeSweep, SingleSweepMatchesBruteForce) {
     for (std::size_t c = 0; c < centers.size(); ++c)
         influence.push_back(rng.uniform(0.5, 2.0));
     Settings s;
-    s.referenceAssignment = reference;
     s.useKdTree = kdTree;
     s.threads = threads;
     AssignEngine<2> engine(points, {}, s, 23);
@@ -255,23 +249,15 @@ TEST(AssignEngine, BatchKernelCountsBatchedDistances) {
     const auto points = randomPoints<2>(2000, 283);
     const auto centers = randomPoints<2>(8, 293);
     const std::vector<double> influence(8, 1.0);
-    for (const bool reference : {false, true}) {
-        Settings s;
-        s.referenceAssignment = reference;
-        AssignEngine<2> engine(points, {}, s, 8);
-        const auto order = identityOrder(points.size());
+    Settings s;
+    AssignEngine<2> engine(points, {}, s, 8);
+    const auto order = identityOrder(points.size());
     engine.setActive(order, points.size());
-        engine.beginRound(centers, influence, engine.activeBox());
-        std::vector<double> sizes(8, 0.0);
-        engine.sweep(sizes);
-        EXPECT_GT(engine.counters().distanceCalcs, 0u);
-        if (reference) {
-            EXPECT_EQ(engine.counters().batchedDistanceCalcs, 0u);
-        } else {
-            EXPECT_EQ(engine.counters().batchedDistanceCalcs,
-                      engine.counters().distanceCalcs);
-        }
-    }
+    engine.beginRound(centers, influence, engine.activeBox());
+    std::vector<double> sizes(8, 0.0);
+    engine.sweep(sizes);
+    EXPECT_GT(engine.counters().distanceCalcs, 0u);
+    EXPECT_EQ(engine.counters().batchedDistanceCalcs, engine.counters().distanceCalcs);
 }
 
 }  // namespace

@@ -24,6 +24,29 @@ std::vector<Point<D>> randomPoints(int n, std::uint64_t seed) {
     return pts;
 }
 
+/// Brute-force best and second-best center ids by effective distance
+/// dist/influence (second = -1 with a single center).
+template <int D>
+typename CenterKdTree<D>::IdResult nearestIds(const Point<D>& q,
+                                              const std::vector<Point<D>>& centers,
+                                              const std::vector<double>& influence) {
+    double best = std::numeric_limits<double>::infinity(), second = best;
+    typename CenterKdTree<D>::IdResult out;
+    for (std::size_t c = 0; c < centers.size(); ++c) {
+        const double d = distance(q, centers[c]) / influence[c];
+        if (d < best) {
+            second = best;
+            out.second = out.best;
+            best = d;
+            out.best = static_cast<std::int32_t>(c);
+        } else if (d < second) {
+            second = d;
+            out.second = static_cast<std::int32_t>(c);
+        }
+    }
+    return out;
+}
+
 class TreeSweep : public ::testing::TestWithParam<int> {};
 INSTANTIATE_TEST_SUITE_P(CenterCounts, TreeSweep, ::testing::Values(1, 2, 5, 16, 64, 257));
 
@@ -32,48 +55,30 @@ TEST_P(TreeSweep, MatchesBruteForceWithUniformInfluence) {
     const auto centers = randomPoints<2>(k, 11);
     const std::vector<double> influence(static_cast<std::size_t>(k), 1.0);
     const CenterKdTree<2> tree(centers, influence);
-    const auto queries = randomPoints<2>(300, 13);
-    for (const auto& q : queries) {
-        const auto res = tree.query(q);
-        double best = std::numeric_limits<double>::infinity();
-        std::int32_t bestIdx = -1;
-        for (std::size_t c = 0; c < centers.size(); ++c) {
-            const double d = distance(q, centers[c]);
-            if (d < best) {
-                best = d;
-                bestIdx = static_cast<std::int32_t>(c);
-            }
-        }
-        EXPECT_EQ(res.best, bestIdx);
-        EXPECT_NEAR(res.bestDistance, best, 1e-12);
+    for (const auto& q : randomPoints<2>(300, 13)) {
+        const auto want = nearestIds(q, centers, influence);
+        const auto got = tree.queryNearestIds(q);
+        EXPECT_EQ(got.best, want.best);
+        EXPECT_EQ(got.second, want.second);
     }
 }
 
 TEST_P(TreeSweep, MatchesBruteForceWithVariedInfluence) {
+    // queryNearestIds computes and prunes in the squared effective-distance
+    // domain; squaring is monotone, so it must find the same best and
+    // second-best centers as the sqrt-domain brute force (second = -1 for a
+    // single center).
     const int k = GetParam();
     const auto centers = randomPoints<2>(k, 17);
     Xoshiro256 rng(19);
     std::vector<double> influence;
     for (int c = 0; c < k; ++c) influence.push_back(rng.uniform(0.25, 4.0));
     const CenterKdTree<2> tree(centers, influence);
-    const auto queries = randomPoints<2>(300, 23);
-    for (const auto& q : queries) {
-        const auto res = tree.query(q);
-        double best = std::numeric_limits<double>::infinity(), second = best;
-        std::int32_t bestIdx = -1;
-        for (std::size_t c = 0; c < centers.size(); ++c) {
-            const double d = distance(q, centers[c]) / influence[c];
-            if (d < best) {
-                second = best;
-                best = d;
-                bestIdx = static_cast<std::int32_t>(c);
-            } else if (d < second) {
-                second = d;
-            }
-        }
-        EXPECT_EQ(res.best, bestIdx);
-        EXPECT_NEAR(res.bestDistance, best, 1e-12);
-        if (k > 1) EXPECT_NEAR(res.secondDistance, second, 1e-12);
+    for (const auto& q : randomPoints<2>(300, 23)) {
+        const auto want = nearestIds(q, centers, influence);
+        const auto got = tree.queryNearestIds(q);
+        EXPECT_EQ(got.best, want.best);
+        EXPECT_EQ(got.second, want.second);
     }
 }
 
@@ -84,17 +89,10 @@ TEST(CenterKdTree, WorksIn3d) {
     for (int c = 0; c < 40; ++c) influence.push_back(rng.uniform(0.5, 2.0));
     const CenterKdTree<3> tree(centers, influence);
     for (const auto& q : randomPoints<3>(100, 37)) {
-        const auto res = tree.query(q);
-        double best = std::numeric_limits<double>::infinity();
-        std::int32_t bestIdx = -1;
-        for (std::size_t c = 0; c < centers.size(); ++c) {
-            const double d = distance(q, centers[c]) / influence[c];
-            if (d < best) {
-                best = d;
-                bestIdx = static_cast<std::int32_t>(c);
-            }
-        }
-        EXPECT_EQ(res.best, bestIdx);
+        const auto want = nearestIds(q, centers, influence);
+        const auto got = tree.queryNearestIds(q);
+        EXPECT_EQ(got.best, want.best);
+        EXPECT_EQ(got.second, want.second);
     }
 }
 
@@ -105,24 +103,6 @@ TEST(CenterKdTree, RejectsBadInput) {
     const auto centers = randomPoints<2>(3, 41);
     const std::vector<double> wrong(2, 1.0);
     EXPECT_THROW(CenterKdTree<2>(centers, wrong), std::invalid_argument);
-}
-
-TEST_P(TreeSweep, SquaredDomainQueryReturnsSameIds) {
-    // queryNearestIds computes and prunes in the squared effective-distance
-    // domain; squaring is monotone, so it must find the same best (and,
-    // where defined, second-best) center as the sqrt-domain query.
-    const int k = GetParam();
-    const auto centers = randomPoints<2>(k, 53);
-    Xoshiro256 rng(59);
-    std::vector<double> influence;
-    for (int c = 0; c < k; ++c) influence.push_back(rng.uniform(0.25, 4.0));
-    const CenterKdTree<2> tree(centers, influence);
-    for (const auto& q : randomPoints<2>(300, 61)) {
-        const auto sqrtRes = tree.query(q);
-        const auto ids = tree.queryNearestIds(q);
-        EXPECT_EQ(ids.best, sqrtRes.best);
-        if (k == 1) EXPECT_EQ(ids.second, -1);
-    }
 }
 
 TEST(CenterKdTree, RebuildInPlaceMatchesFreshTree) {
@@ -138,56 +118,42 @@ TEST(CenterKdTree, RebuildInPlaceMatchesFreshTree) {
     const CenterKdTree<2> fresh(second, infSecond);
     EXPECT_EQ(reused.size(), 25);
     for (const auto& q : randomPoints<2>(200, 79)) {
-        const auto a = reused.query(q);
-        const auto b = fresh.query(q);
+        const auto a = reused.queryNearestIds(q);
+        const auto b = fresh.queryNearestIds(q);
         EXPECT_EQ(a.best, b.best);
-        EXPECT_EQ(a.bestDistance, b.bestDistance);
-        EXPECT_EQ(a.secondDistance, b.secondDistance);
+        EXPECT_EQ(a.second, b.second);
+        EXPECT_EQ(a.best, nearestIds(q, second, infSecond).best);
     }
 }
 
 TEST(KMeansWithKdTree, SameResultAsLinearScan) {
+    // The engine's kd-tree path queries in the squared domain and
+    // materializes the Hamerly bounds itself; with or without bounds, and
+    // threaded, it must reproduce the plain linear scan exactly.
     const auto pts = randomPoints<2>(3000, 43);
     Xoshiro256 rng(47);
     std::vector<Point2> centers;
     for (int c = 0; c < 8; ++c) centers.push_back(Point2{{rng.uniform(), rng.uniform()}});
-    core::Settings scan, tree;
-    scan.sampledInitialization = tree.sampledInitialization = false;
-    tree.useKdTree = true;
-    tree.hamerlyBounds = false;  // isolate the kd-tree path
+    core::Settings scan;
+    scan.sampledInitialization = false;
     scan.hamerlyBounds = false;
     scan.boundingBoxPruning = false;
-    std::vector<std::int32_t> a, b;
+    std::vector<std::int32_t> want;
     par::runSpmd(1, [&](par::Comm& comm) {
-        a = core::balancedKMeans<2>(comm, pts, {}, centers, scan).assignment;
+        want = core::balancedKMeans<2>(comm, pts, {}, centers, scan).assignment;
     });
-    par::runSpmd(1, [&](par::Comm& comm) {
-        b = core::balancedKMeans<2>(comm, pts, {}, centers, tree).assignment;
-    });
-    EXPECT_EQ(a, b);
-}
-
-TEST(KMeansWithKdTree, FastEngineMatchesReferenceOnKdTreePath) {
-    // The engine's kd-tree path queries in the squared domain and
-    // materializes the Hamerly bounds itself; it must reproduce the
-    // reference (sqrt-domain query) outcome exactly, bounds enabled.
-    const auto pts = randomPoints<2>(3000, 83);
-    Xoshiro256 rng(89);
-    std::vector<Point2> centers;
-    for (int c = 0; c < 10; ++c) centers.push_back(Point2{{rng.uniform(), rng.uniform()}});
-    core::Settings reference, fast;
-    reference.useKdTree = fast.useKdTree = true;
-    reference.referenceAssignment = true;
-    fast.referenceAssignment = false;
-    fast.threads = 2;
-    std::vector<std::int32_t> a, b;
-    par::runSpmd(1, [&](par::Comm& comm) {
-        a = core::balancedKMeans<2>(comm, pts, {}, centers, reference).assignment;
-    });
-    par::runSpmd(1, [&](par::Comm& comm) {
-        b = core::balancedKMeans<2>(comm, pts, {}, centers, fast).assignment;
-    });
-    EXPECT_EQ(a, b);
+    for (const int threads : {1, 2}) {
+        core::Settings tree;
+        tree.sampledInitialization = false;
+        tree.useKdTree = true;
+        tree.hamerlyBounds = threads == 2;  // threads = 1 isolates the tree
+        tree.threads = threads;
+        std::vector<std::int32_t> got;
+        par::runSpmd(1, [&](par::Comm& comm) {
+            got = core::balancedKMeans<2>(comm, pts, {}, centers, tree).assignment;
+        });
+        EXPECT_EQ(got, want) << "threads=" << threads;
+    }
 }
 
 }  // namespace

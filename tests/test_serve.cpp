@@ -19,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/assign_kernel.hpp"
 #include "core/geographer.hpp"
 #include "gen/delaunay2d.hpp"
 #include "hier/hier_partition.hpp"
@@ -411,48 +412,16 @@ TEST(ServeSnapshot, FromStateServesCarriedWarmStartState) {
     }
 }
 
-TEST(ServeSnapshot, CompactCentersRouteIdenticallyToFp64) {
-    const auto mesh = geo::gen::delaunay2d(6000, 251);
-    const auto weights = fractionalWeights(mesh.points.size(), 252);
-    const std::int32_t k = 24;
-    Settings settings;
-    const auto res =
-        geo::core::partitionGeographer<2>(mesh.points, weights, k, 1, settings);
-
-    SnapshotOptions compactOptions;
-    compactOptions.compactCenters = true;
-    const auto compact = PartitionSnapshot<2>::fromResult(res, 1, 0, compactOptions);
-    EXPECT_TRUE(compact.usesCompactCenters());
-    EXPECT_FALSE(compact.usesKdTree());
-
-    // The exactness guard's whole point: routes equal the fp64 path (and
-    // hence the run's own partition) bit for bit, fallbacks or not.
-    expectRoutesMatch<2>(compact, mesh.points, res.partition, "compact2d");
-
-    // Compact overrides the kd-tree even past its threshold — the hot path
-    // must stay the guarded fp32 scan.
-    SnapshotOptions both;
-    both.compactCenters = true;
-    both.kdTreeFromK = 1;
-    const auto compactOverTree = PartitionSnapshot<2>::fromResult(res, 1, 0, both);
-    EXPECT_TRUE(compactOverTree.usesCompactCenters());
-    EXPECT_FALSE(compactOverTree.usesKdTree());
-    expectRoutesMatch<2>(compactOverTree, mesh.points, res.partition, "compact>tree");
-}
-
-TEST(ServeSnapshot, CompactGuardCatchesNearTiesAndDuplicates) {
-    // Two duplicated centers plus one distinct: every query near the
-    // duplicates produces an exact fp32 tie, which must fall back to the
-    // fp64 scan and resolve to the LOWER id — the fp64 tie rule.
+TEST(ServeSnapshot, DuplicateCentersAndBisectorTiesRouteToLowestId) {
+    // Two duplicated centers plus one distinct: every query nearer the
+    // duplicates ties exactly between ids 0 and 1, and queries on the
+    // bisector x = 0.5 tie between all three. Each tie must resolve to the
+    // lowest id, identically on the batched and single-point paths.
     const std::vector<Point2> centers{Point2{{0.25, 0.5}}, Point2{{0.25, 0.5}},
                                       Point2{{0.75, 0.5}}};
     const std::vector<double> influence(3, 1.0);
-    SnapshotOptions options;
-    options.compactCenters = true;
-    const auto compact = PartitionSnapshot<2>::fromCenters(
-        std::span<const Point2>(centers), influence, 1, 0, options);
-    const auto exact = PartitionSnapshot<2>::fromCenters(
-        std::span<const Point2>(centers), influence, 1, 0, {});
+    const auto snap =
+        PartitionSnapshot<2>::fromCenters(std::span<const Point2>(centers), influence);
 
     Xoshiro256 rng(257);
     std::vector<Point2> queries(4096);
@@ -460,64 +429,57 @@ TEST(ServeSnapshot, CompactGuardCatchesNearTiesAndDuplicates) {
         q[0] = rng.uniform();
         q[1] = rng.uniform();
     }
-    // Points squarely on the bisector x = 0.5 between distinct centers too.
+    const std::size_t random = queries.size();
     for (int i = 0; i < 64; ++i)
         queries.push_back(Point2{{0.5, static_cast<double>(i) / 64.0}});
 
-    std::vector<std::int32_t> gotCompact(queries.size(), -1);
-    std::vector<std::int32_t> gotExact(queries.size(), -2);
-    compact.blockOf(queries, gotCompact);
-    exact.blockOf(queries, gotExact);
-    EXPECT_EQ(gotCompact, gotExact);
-    for (const auto b : gotCompact) EXPECT_NE(b, 1);  // ties -> lowest id
-    // Duplicate centers tie in fp32 for every left-half query; the guard
-    // must have routed plenty of lanes through the fp64 fallback.
-    EXPECT_GT(compact.compactFallbacks(), 0u);
+    std::vector<std::int32_t> batched(queries.size(), -1);
+    snap.blockOf(queries, batched);
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+        ASSERT_EQ(batched[i], snap.blockOf(queries[i])) << "query " << i;
+        EXPECT_NE(batched[i], 1) << "query " << i << " went to the higher duplicate";
+        if (i >= random) EXPECT_EQ(batched[i], 0) << "bisector query " << i;
+    }
 }
 
-TEST(ServeSnapshot, CompactRebuildsOnLoadAndStaysExact) {
-    const auto mesh = geo::gen::delaunay2d(3000, 263);
+TEST(ServeSnapshot, EngineAndSnapshotBreakExactTiesTheSameWay) {
+    // 40 centers, all inside the active box [0,1]², so every pruning key
+    // is 0. For each pair (i < j), center i moves to (0.25, 0.5) and center
+    // j to (0.75, 0.5): the point (0.5, 0.5) is then exactly equidistant
+    // from both, and every other center (on y = 0 or y = 1) is farther.
+    // The snapshot scans in id order and keeps i; the engine must too,
+    // which holds only if it visits equal keys in id order.
+    constexpr std::int32_t k = 40;
+    std::vector<Point2> decoys(k);
+    for (std::int32_t c = 0; c < k; ++c)
+        decoys[static_cast<std::size_t>(c)] =
+            Point2{{static_cast<double>(c) / (k - 1), c % 2 == 0 ? 0.0 : 1.0}};
+    const std::vector<double> influence(k, 1.0);
+    const std::vector<Point2> points{Point2{{0.0, 0.0}}, Point2{{1.0, 1.0}},
+                                     Point2{{0.5, 0.5}}};
+    const std::vector<std::size_t> order{0, 1, 2};
     Settings settings;
-    const auto res = geo::core::partitionGeographer<2>(mesh.points, {}, 16, 1, settings);
-    const auto snap = PartitionSnapshot<2>::fromResult(res, 3);
+    settings.threads = 1;
 
-    // The on-disk format carries fp64 only; load() with compact options
-    // rebuilds the fp32 mirrors in finalize.
-    std::stringstream stream(std::ios::in | std::ios::out | std::ios::binary);
-    snap.save(stream);
-    SnapshotOptions options;
-    options.compactCenters = true;
-    const auto loaded = PartitionSnapshot<2>::load(stream, options);
-    EXPECT_TRUE(loaded.usesCompactCenters());
-    expectRoutesMatch<2>(loaded, mesh.points, res.partition, "loaded compact");
-}
+    int disagreements = 0;
+    for (std::int32_t i = 0; i < k; ++i) {
+        for (std::int32_t j = i + 1; j < k; ++j) {
+            auto centers = decoys;
+            centers[static_cast<std::size_t>(i)] = Point2{{0.25, 0.5}};
+            centers[static_cast<std::size_t>(j)] = Point2{{0.75, 0.5}};
+            const auto snap = PartitionSnapshot<2>::fromCenters(
+                std::span<const Point2>(centers), influence);
+            ASSERT_EQ(snap.blockOf(points[2]), i);
 
-TEST(ServeSnapshot, CompactIgnoredForHierarchicalSnapshots) {
-    const auto mesh = geo::gen::delaunay2d(2000, 269);
-    Settings settings;
-    const auto topo =
-        geo::hier::Topology::fromBranching(std::array<std::int32_t, 2>{2, 3});
-    const auto hres =
-        geo::hier::partitionHierarchical<2>(mesh.points, {}, topo, 1, settings);
-    SnapshotOptions options;
-    options.compactCenters = true;
-    const auto hsnap = PartitionSnapshot<2>::fromHierResult(hres, topo, 1, 0, options);
-    EXPECT_FALSE(hsnap.usesCompactCenters());
-    expectRoutesMatch<2>(hsnap, mesh.points, hres.partition, "hier compact-off");
-}
-
-TEST(ServeSnapshot, CompactCenters3d) {
-    Xoshiro256 rng(271);
-    std::vector<Point3> points(3000);
-    for (auto& p : points)
-        for (int d = 0; d < 3; ++d) p[d] = rng.uniform();
-    Settings settings;
-    const auto res = geo::core::partitionGeographer<3>(points, {}, 10, 1, settings);
-    SnapshotOptions options;
-    options.compactCenters = true;
-    const auto compact = PartitionSnapshot<3>::fromResult(res, 1, 0, options);
-    EXPECT_TRUE(compact.usesCompactCenters());
-    expectRoutesMatch<3>(compact, points, res.partition, "compact3d");
+            geo::core::AssignEngine<2> engine(points, {}, settings, k);
+            engine.setActive(order, order.size());
+            engine.beginRound(centers, influence, engine.activeBox());
+            std::vector<double> sizes(k, 0.0);
+            engine.sweep(sizes);
+            if (engine.assignment()[2] != i) ++disagreements;
+        }
+    }
+    EXPECT_EQ(disagreements, 0) << "of " << k * (k - 1) / 2 << " tied pairs";
 }
 
 }  // namespace

@@ -112,24 +112,18 @@ TEST(Assert, MessageIsIncluded) {
 }
 
 TEST(Settings, ResolvedThreadsPrecedence) {
-    // Precedence: threads > assignThreads (deprecated alias) > GEO_THREADS
-    // env > 1. The env leg reads the value pinned by kGeoThreadsPinned
-    // above; the final built-in default (1) is only reachable with the
-    // variable unset, which cannot be exercised in the same process.
+    // Precedence: threads > GEO_THREADS env > 1. The env leg reads the
+    // value pinned by kGeoThreadsPinned above; the final built-in default
+    // (1) is only reachable with the variable unset, which cannot be
+    // exercised in the same process.
     ASSERT_TRUE(kGeoThreadsPinned);
     EXPECT_EQ(geo::par::defaultThreads(), 3);
 
     geo::core::Settings s;
-    EXPECT_EQ(s.resolvedThreads(), 3);  // both unset: the env default
-
-    s.assignThreads = 5;
-    EXPECT_EQ(s.resolvedThreads(), 5);  // alias beats the env default
+    EXPECT_EQ(s.resolvedThreads(), 3);  // unset: the env default
 
     s.threads = 2;
-    EXPECT_EQ(s.resolvedThreads(), 2);  // threads beats the alias
-
-    s.assignThreads = 0;
-    EXPECT_EQ(s.resolvedThreads(), 2);  // threads alone still wins
+    EXPECT_EQ(s.resolvedThreads(), 2);  // threads beats the env default
 
     s.threads = 0;
     EXPECT_EQ(s.resolvedThreads(), 3);  // back to the env default
@@ -138,10 +132,7 @@ TEST(Settings, ResolvedThreadsPrecedence) {
 TEST(Settings, ResolvedThreadsTreatsNonPositiveAsUnset) {
     geo::core::Settings s;
     s.threads = -4;
-    s.assignThreads = -2;
     EXPECT_EQ(s.resolvedThreads(), 3);  // negative values fall through
-    s.assignThreads = 7;
-    EXPECT_EQ(s.resolvedThreads(), 7);  // threads < 1 defers to the alias
 }
 
 TEST(Settings, ResolvedRanksPrecedence) {

@@ -88,18 +88,6 @@ TEST(ThreadDeterminism, PartitionGeographerBitwiseAcrossThreadCounts) {
     }
 }
 
-TEST(ThreadDeterminism, DeprecatedAssignThreadsAliasStillApplies) {
-    const auto mesh = geo::gen::delaunay2d(2000, 217);
-    Settings viaAlias, viaThreads;
-    viaAlias.assignThreads = 4;  // pre-PR-4 spelling
-    viaThreads.threads = 4;
-    EXPECT_EQ(viaAlias.resolvedThreads(), 4);
-    EXPECT_EQ(viaThreads.resolvedThreads(), 4);
-    const auto a = geo::core::partitionGeographer<2>(mesh.points, {}, 6, 1, viaAlias);
-    const auto b = geo::core::partitionGeographer<2>(mesh.points, {}, 6, 1, viaThreads);
-    expectSameResult(a, b, "alias");
-}
-
 TEST(ThreadDeterminism, RepartitionBitwiseAcrossThreadCounts) {
     const auto mesh = geo::gen::delaunay2d(5000, 223);
     // Second timestep: slight deterministic drift, small enough to warm-start.
