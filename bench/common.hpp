@@ -3,12 +3,10 @@
 #pragma once
 
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <map>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "baseline/tools.hpp"
@@ -25,14 +23,11 @@ namespace geo::bench {
 /// Multi-process awareness: under `geo_launch -n N -- bench_...` the whole
 /// binary executes once per worker process, so tables and BENCH_*.json must
 /// come from rank 0 only. Outside a worker every process is "root".
-[[nodiscard]] inline bool isRootProcess() {
-    const char* rank = std::getenv("GEO_RANK");
-    return rank == nullptr || std::string_view(rank) == "0";
-}
+[[nodiscard]] inline bool isRootProcess() { return par::workerRank() <= 0; }
 
 /// Real worker-process count this binary runs across (1 outside geo_launch).
 [[nodiscard]] inline int workerProcesses() {
-    return std::getenv("GEO_RANK") == nullptr ? 1 : par::defaultRanks();
+    return par::workerRank() < 0 ? 1 : par::defaultRanks();
 }
 
 /// Display name of the transport a Settings-carried kind will resolve to —

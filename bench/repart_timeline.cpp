@@ -282,7 +282,7 @@ int main(int argc, char** argv) {
 
     // Under geo_launch the SPMD width IS the worker count; non-root ranks
     // run the same loop through the socket collectives but stay silent.
-    if (std::getenv("GEO_RANK") != nullptr) ranks = bench::workerProcesses();
+    if (par::workerRank() >= 0) ranks = bench::workerProcesses();
     const bench::MuteNonRoot mute;
 
     core::Settings settings;

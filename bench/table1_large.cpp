@@ -93,7 +93,7 @@ int main(int argc, char** argv) {
     // Under geo_launch the whole binary runs once per worker; only rank 0
     // prints (the workers join Geographer's socket collectives).
     const bench::MuteNonRoot mute;
-    if (std::getenv("GEO_RANK") != nullptr) ranks = bench::workerProcesses();
+    if (par::workerRank() >= 0) ranks = bench::workerProcesses();
 
     const std::int32_t k = 32;
     const double eps = 0.03;

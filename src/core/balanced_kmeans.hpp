@@ -37,7 +37,7 @@ namespace geo::core {
 
 /// Expected cluster radius `bbox diagonal / k^(1/d)` — the shared length
 /// scale of the convergence test (Settings::deltaThresholdFactor) and the
-/// repartitioning drift probe (RepartOptions::driftThresholdFactor).
+/// repartitioning drift probe (repart/repartition.cpp).
 [[nodiscard]] inline double expectedClusterRadius(double bboxDiagonal, std::int32_t k,
                                                   int dim) noexcept {
     return bboxDiagonal /

@@ -1,7 +1,9 @@
 // Tuning parameters of balanced k-means / Geographer (§4 of the paper).
 //
 // Every switch the paper describes as a "tuning parameter" or optimization
-// is independently toggleable so the ablation benches can quantify it.
+// is independently toggleable so the ablation benches can quantify it. The
+// runtime settings (threads, ranks, transport, memory budget) fall back to
+// their GEO_* variables when unset, read under the support/env.hpp rule.
 #pragma once
 
 #include <algorithm>
@@ -13,11 +15,6 @@
 #include "support/mem.hpp"
 
 namespace geo::core {
-
-/// Process-wide default worker-thread count (GEO_THREADS or 1); see
-/// par::defaultThreads — re-exported here because Settings resolution is
-/// where most callers meet it.
-using par::defaultThreads;
 
 /// Space-filling curve used for the sort/redistribution and center seeding.
 /// The paper uses Hilbert; Morton is provided for the curve ablation.
@@ -74,10 +71,10 @@ struct Settings {
     int threads = 0;
 
     /// The thread count every phase actually uses: `threads` if set, else
-    /// defaultThreads() (GEO_THREADS or 1).
-    [[nodiscard]] int resolvedThreads() const noexcept {
+    /// par::defaultThreads() (GEO_THREADS or 1).
+    [[nodiscard]] int resolvedThreads() const {
         if (threads >= 1) return threads;
-        return defaultThreads();
+        return par::defaultThreads();
     }
 
     /// SPMD rank count for entry points that own their Machine (examples,
@@ -94,35 +91,16 @@ struct Settings {
     par::TransportKind transport = par::TransportKind::Auto;
 
     /// The rank count actually used: `ranks` if set, else GEO_RANKS, else 1.
-    /// Unlike resolvedThreads this is NOT cached process-wide: geo_launch
-    /// workers and the precedence tests mutate the environment at runtime.
-    [[nodiscard]] int resolvedRanks() const noexcept {
+    [[nodiscard]] int resolvedRanks() const {
         if (ranks >= 1) return ranks;
         return par::defaultRanks();
     }
 
     /// The transport actually used: `transport` if set, else GEO_TRANSPORT,
-    /// else the simulator. Never returns Auto. Throws std::invalid_argument
-    /// on an unparseable GEO_TRANSPORT value.
+    /// else the simulator. Never returns Auto.
     [[nodiscard]] par::TransportKind resolvedTransport() const {
         if (transport != par::TransportKind::Auto) return transport;
         return par::envTransportKind();
-    }
-
-    /// Deadline (ms) for every blocking socket-transport operation: a dead
-    /// or wedged peer surfaces as a typed par::TransportError instead of a
-    /// hang. -1 = unset: fall back to GEO_COMM_TIMEOUT_MS, then 30000.
-    /// 0 disables the deadline (pre-fault-tolerance blocking behavior).
-    /// Only meaningful for SPMD runs over the socket/tcp transport; the
-    /// in-process simulator cannot lose a rank.
-    int commTimeoutMs = -1;
-
-    /// The deadline actually used: `commTimeoutMs` if set (>= 0), else
-    /// GEO_COMM_TIMEOUT_MS, else 30000. NOT cached: geo_launch forwards
-    /// --comm-timeout-ms through the environment at runtime.
-    [[nodiscard]] int resolvedCommTimeoutMs() const noexcept {
-        if (commTimeoutMs >= 0) return commTimeoutMs;
-        return par::defaultCommTimeoutMs();
     }
 
     /// Byte budget for the tiled point mirror every assignment sweep and
@@ -138,10 +116,7 @@ struct Settings {
     std::uint64_t memoryBudgetBytes = 0;
 
     /// The byte budget actually used: `memoryBudgetBytes` if set, else
-    /// GEO_MEM_BUDGET, else 0 (= unlimited). Like resolvedRanks this is NOT
-    /// cached process-wide: the precedence tests mutate the environment at
-    /// runtime. Throws std::invalid_argument on an unparseable
-    /// GEO_MEM_BUDGET value.
+    /// GEO_MEM_BUDGET, else 0 (= unlimited).
     [[nodiscard]] std::uint64_t resolvedMemoryBudget() const {
         if (memoryBudgetBytes > 0) return memoryBudgetBytes;
         return support::envMemoryBudget();

@@ -8,8 +8,11 @@
 #include <vector>
 
 #include "support/assert.hpp"
+#include "support/env.hpp"
 
 namespace geo::par {
+
+int defaultThreads() { return support::env::integer("GEO_THREADS", 1, 1, 1024); }
 
 /// Shared pool state. Workers sleep on `wake` until the generation counter
 /// advances, run their chunk of the current task, then report completion on

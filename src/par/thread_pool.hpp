@@ -19,25 +19,17 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <functional>
 
 namespace geo::par {
 
-/// Process-wide default worker-thread count: the GEO_THREADS environment
-/// variable when set (>= 1), else 1. Read once. Both Settings::threads
-/// resolution (core) and the graph-metrics thread defaults consult this, so
-/// one env var threads the whole pipeline — which is what lets the CI
-/// GEO_THREADS=4 matrix leg exercise every threaded path through the
-/// existing suite.
-[[nodiscard]] inline int defaultThreads() noexcept {
-    static const int cached = [] {
-        const char* env = std::getenv("GEO_THREADS");
-        const int parsed = env ? std::atoi(env) : 0;
-        return parsed >= 1 ? parsed : 1;
-    }();
-    return cached;
-}
+/// Process-wide default worker-thread count: GEO_THREADS in [1, 1024], 1
+/// when unset (support/env.hpp rule: a malformed value throws
+/// std::invalid_argument). Both Settings::threads resolution (core) and the
+/// graph-metrics thread defaults consult this, so one variable threads the
+/// whole pipeline — which is what lets the CI GEO_THREADS=4 matrix leg
+/// exercise every threaded path through the existing suite.
+[[nodiscard]] int defaultThreads();
 
 class ThreadPool {
 public:

@@ -13,15 +13,16 @@
 #include <array>
 #include <cerrno>
 #include <csignal>
-#include <cstdlib>
 #include <cstring>
 #include <ctime>
 #include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 
 #include "support/assert.hpp"
 #include "support/binio.hpp"
+#include "support/env.hpp"
 #include "support/fault.hpp"
 
 namespace geo::par {
@@ -211,7 +212,7 @@ void SocketTransport::beginCollective(const char* op) {
 
 void SocketTransport::sendFrame(int peer, Op op, const void* payload,
                                 std::size_t bytes) {
-    const IoCtx ctx{opName_, seq_, opTimeoutMs_};
+    const IoCtx ctx{opName_, seq_, opDeadlineMs_};
     binio::Writer header;
     header.u32(kFrameMagic);
     header.u32(makeTagImpl(static_cast<std::uint8_t>(op), seq_));
@@ -221,7 +222,7 @@ void SocketTransport::sendFrame(int peer, Op op, const void* payload,
 }
 
 std::vector<std::byte> SocketTransport::recvFrame(int peer, Op op) {
-    const IoCtx ctx{opName_, seq_, opTimeoutMs_};
+    const IoCtx ctx{opName_, seq_, opDeadlineMs_};
     std::array<std::byte, kHeaderBytes> raw{};
     recvAll(fdFor(peer), raw.data(), raw.size(), ctx, peer);
     binio::Reader header(raw);
@@ -242,7 +243,7 @@ std::vector<std::byte> SocketTransport::exchangeFrames(int sendPeer, Op sendOp,
                                                        const void* sendPayload,
                                                        std::size_t sendBytes,
                                                        int recvPeer, Op recvOp) {
-    const IoCtx ctx{opName_, seq_, opTimeoutMs_};
+    const IoCtx ctx{opName_, seq_, opDeadlineMs_};
     const int sendFd = fdFor(sendPeer);
     const int recvFd = fdFor(recvPeer);
 
@@ -261,7 +262,7 @@ std::vector<std::byte> SocketTransport::exchangeFrames(int sendPeer, Op sendOp,
     bool recvHeaderParsed = false;
     std::vector<std::byte> recvPayload;
 
-    Deadline dl = Deadline::after(opTimeoutMs_);
+    Deadline dl = Deadline::after(opDeadlineMs_);
     while (sendOff < sendTotal || recvOff < recvTotal) {
         // Pump the send side until the kernel buffer is full.
         while (sendOff < sendTotal) {
@@ -366,10 +367,8 @@ SocketTransport::SocketTransport(const SocketConfig& config) : config_(config) {
     GEO_REQUIRE(config_.ranks >= 1, "need at least one rank");
     GEO_REQUIRE(config_.rank >= 0 && config_.rank < config_.ranks,
                 "rank out of range");
-    opTimeoutMs_ =
-        config_.opTimeoutMs >= 0 ? config_.opTimeoutMs : defaultCommTimeoutMs();
-    connectTimeoutMs_ = config_.connectTimeoutMs >= 0 ? config_.connectTimeoutMs
-                                                      : defaultConnectTimeoutMs();
+    opDeadlineMs_ = defaultCommTimeoutMs();
+    connectDeadlineMs_ = defaultConnectTimeoutMs();
     peerFd_.assign(static_cast<std::size_t>(config_.ranks), -1);
     if (config_.ranks == 1) return;
     // A peer that dies mid-collective turns our next send into SIGPIPE;
@@ -448,7 +447,7 @@ void SocketTransport::connectMesh() {
 
     // 2. Dial every lower rank (bounded retry until its listener is bound).
     for (int peer = 0; peer < self; ++peer) {
-        const Deadline dl = Deadline::after(connectTimeoutMs_);
+        const Deadline dl = Deadline::after(connectDeadlineMs_);
         int fd = -1;
         int attempt = 0;
         for (;;) {
@@ -482,7 +481,7 @@ void SocketTransport::connectMesh() {
                     TransportErrorKind::ConnectFailed, peer, "handshake", 0,
                     std::string("connect: ") + std::strerror(err) + " after " +
                         std::to_string(attempt + 1) + " attempt(s) (deadline " +
-                        std::to_string(connectTimeoutMs_) + " ms)");
+                        std::to_string(connectDeadlineMs_) + " ms)");
             // Exponential backoff with deterministic per-rank jitter: many
             // ranks re-dialing one slow starter spread out instead of
             // stampeding in lockstep, yet the schedule is reproducible.
@@ -508,8 +507,8 @@ void SocketTransport::connectMesh() {
     //    deadline bounds the WHOLE accept phase: an absent rank — crashed
     //    before dialing, never launched — turns into a typed Timeout here
     //    instead of an indefinite accept() hang.
-    const IoCtx acceptCtx{"handshake", 0, connectTimeoutMs_};
-    const Deadline acceptDl = Deadline::after(connectTimeoutMs_);
+    const IoCtx acceptCtx{"handshake", 0, connectDeadlineMs_};
+    const Deadline acceptDl = Deadline::after(connectDeadlineMs_);
     if (p - 1 - self > 0) setNonBlocking(listenFd_, true);
     for (int pending = p - 1 - self; pending > 0; --pending) {
         int fd;
@@ -733,29 +732,31 @@ std::vector<std::byte> SocketTransport::alltoallv(std::span<const ConstBuf> send
     return result;
 }
 
+std::optional<SocketConfig> workerSocketConfig() {
+    const int rank = workerRank();
+    if (rank < 0) return std::nullopt;
+    const TransportKind kind = envTransportKind();
+    if (kind != TransportKind::Socket && kind != TransportKind::Tcp) return std::nullopt;
+    SocketConfig cfg;
+    cfg.rank = rank;
+    cfg.ranks = defaultRanks();
+    cfg.tcp = kind == TransportKind::Tcp;
+    cfg.dir = support::env::parse("GEO_SOCKET_DIR", std::string{},
+                                  [](const std::string& dir) { return dir; });
+    cfg.portBase = support::env::integer("GEO_PORT_BASE", 0, 1, 65536 - cfg.ranks);
+    return cfg;
+}
+
 Transport* ensureWorkerTransport() {
-    static std::unique_ptr<SocketTransport> worker = []() -> std::unique_ptr<SocketTransport> {
-        const char* rankEnv = std::getenv("GEO_RANK");
-        if (!rankEnv || *rankEnv == '\0') return nullptr;
-        const TransportKind kind = envTransportKind();
-        if (kind != TransportKind::Socket && kind != TransportKind::Tcp)
-            return nullptr;
-        SocketConfig cfg;
-        cfg.rank = std::atoi(rankEnv);
-        cfg.ranks = defaultRanks();
-        cfg.tcp = kind == TransportKind::Tcp;
-        if (const char* dir = std::getenv("GEO_SOCKET_DIR")) cfg.dir = dir;
-        if (const char* base = std::getenv("GEO_PORT_BASE"))
-            cfg.portBase = std::atoi(base);
-        // opTimeoutMs / connectTimeoutMs stay -1: the constructor resolves
-        // them from GEO_COMM_TIMEOUT_MS / GEO_CONNECT_TIMEOUT_MS, which
-        // geo_launch forwards to every worker.
-        GEO_REQUIRE(cfg.rank >= 0 && cfg.rank < cfg.ranks,
-                    "GEO_RANK out of range of GEO_RANKS");
-        auto transport = std::make_unique<SocketTransport>(cfg);
-        setProcessTransport(transport.get());
-        return transport;
-    }();
+    static std::mutex mutex;
+    static std::unique_ptr<SocketTransport> worker;
+    const std::lock_guard lock(mutex);
+    if (!worker) {
+        const auto cfg = workerSocketConfig();
+        if (!cfg) return nullptr;
+        worker = std::make_unique<SocketTransport>(*cfg);
+        setProcessTransport(worker.get());
+    }
     return worker.get();
 }
 

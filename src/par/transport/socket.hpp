@@ -37,6 +37,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -44,24 +45,16 @@
 
 namespace geo::par {
 
-/// Configuration a worker needs to join the mesh (normally parsed from the
-/// geo_launch environment by ensureWorkerTransport, but constructible
-/// directly for tests).
+/// Configuration a worker needs to join the mesh (workerSocketConfig reads
+/// it from the geo_launch environment). The deadlines are not part of it:
+/// the transport reads GEO_COMM_TIMEOUT_MS and GEO_CONNECT_TIMEOUT_MS when
+/// it is constructed.
 struct SocketConfig {
     int rank = 0;
     int ranks = 1;
     bool tcp = false;          ///< false → Unix-domain sockets in `dir`
     std::string dir;           ///< Unix: directory holding geo.<r>.sock
     int portBase = 0;          ///< TCP: rank r listens on 127.0.0.1:portBase+r
-    /// Deadline for every blocking collective operation, in milliseconds:
-    /// an op making no byte progress for this long throws
-    /// TransportError{Timeout} instead of hanging on a dead or wedged peer.
-    /// -1 = resolve from GEO_COMM_TIMEOUT_MS (default 30000); 0 = no
-    /// deadline (block forever, the pre-fault-tolerance behavior).
-    int opTimeoutMs = -1;
-    /// Deadline for mesh construction (bounded-retry dials + handshake
-    /// accepts). -1 = resolve from GEO_CONNECT_TIMEOUT_MS (default 30000).
-    int connectTimeoutMs = -1;
 };
 
 class SocketTransport final : public Transport {
@@ -119,15 +112,21 @@ private:
     std::vector<int> peerFd_;    ///< per-rank socket fd (own slot = -1)
     std::uint32_t seq_ = 0;      ///< collective sequence, bumped per call
     const char* opName_ = "handshake";  ///< current op, for TransportError
-    int opTimeoutMs_ = 0;        ///< resolved per-op deadline (0 = none)
-    int connectTimeoutMs_ = 0;   ///< resolved mesh-construction deadline
+    int opDeadlineMs_ = 0;       ///< GEO_COMM_TIMEOUT_MS (0 = none)
+    int connectDeadlineMs_ = 0;  ///< GEO_CONNECT_TIMEOUT_MS
 };
 
-/// Lazily construct and install the process-wide SocketTransport from the
-/// geo_launch worker environment (GEO_RANK, GEO_RANKS, GEO_TRANSPORT,
-/// GEO_SOCKET_DIR / GEO_PORT_BASE). Returns the installed transport, or
-/// nullptr when this process is not a worker. Safe to call repeatedly; the
-/// mesh is built once and lives until process exit.
+/// The geo_launch worker environment as a SocketConfig: GEO_RANK, GEO_RANKS,
+/// GEO_TRANSPORT, GEO_SOCKET_DIR and GEO_PORT_BASE (in [1, 65536 - ranks]).
+/// std::nullopt when this process is not a socket worker (GEO_RANK unset,
+/// or GEO_TRANSPORT neither socket nor tcp).
+[[nodiscard]] std::optional<SocketConfig> workerSocketConfig();
+
+/// Construct and install the process-wide SocketTransport from
+/// workerSocketConfig() on the first call that finds a worker environment.
+/// Returns the installed transport, or nullptr when this process is not a
+/// worker. Safe to call repeatedly; the mesh is built once and lives until
+/// process exit.
 Transport* ensureWorkerTransport();
 
 }  // namespace geo::par

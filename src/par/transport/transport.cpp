@@ -1,10 +1,11 @@
 #include "par/transport/transport.hpp"
 
-#include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 
 #include "support/assert.hpp"
+#include "support/env.hpp"
 
 namespace geo::par {
 
@@ -32,14 +33,8 @@ std::string formatTransportError(TransportErrorKind kind, int peer,
     return msg;
 }
 
-int envMs(const char* var, int fallback) noexcept {
-    const char* env = std::getenv(var);
-    if (!env || *env == '\0') return fallback;
-    char* end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    if (!end || *end != '\0' || v < 0 || v > 1000 * 3600 * 24) return fallback;
-    return static_cast<int>(v);
-}
+constexpr int kMaxRanks = 1024;
+constexpr int kMaxTimeoutMs = 1000 * 3600 * 24;  ///< one day
 
 }  // namespace
 
@@ -51,18 +46,20 @@ TransportError::TransportError(TransportErrorKind kind_, int peer_, std::string 
       op(std::move(op_)),
       seq(seq_) {}
 
-int defaultCommTimeoutMs() noexcept { return envMs("GEO_COMM_TIMEOUT_MS", 30000); }
+int defaultCommTimeoutMs() {
+    return support::env::integer("GEO_COMM_TIMEOUT_MS", 30000, 0, kMaxTimeoutMs);
+}
 
-int defaultConnectTimeoutMs() noexcept {
-    return envMs("GEO_CONNECT_TIMEOUT_MS", 30000);
+int defaultConnectTimeoutMs() {
+    return support::env::integer("GEO_CONNECT_TIMEOUT_MS", 30000, 0, kMaxTimeoutMs);
 }
 
 TransportKind parseTransportKind(std::string_view name) {
     if (name == "sim") return TransportKind::Sim;
     if (name == "socket") return TransportKind::Socket;
     if (name == "tcp") return TransportKind::Tcp;
-    GEO_REQUIRE(false, "unknown transport '" + std::string(name) +
-                           "' (use sim, socket, or tcp)");
+    throw std::invalid_argument("unknown transport '" + std::string(name) +
+                                "' (use sim, socket, or tcp)");
 }
 
 const char* transportKindName(TransportKind kind) noexcept {
@@ -76,17 +73,12 @@ const char* transportKindName(TransportKind kind) noexcept {
 }
 
 TransportKind envTransportKind() {
-    const char* env = std::getenv("GEO_TRANSPORT");
-    if (!env || *env == '\0') return TransportKind::Sim;
-    const TransportKind kind = parseTransportKind(env);
-    return kind == TransportKind::Auto ? TransportKind::Sim : kind;
+    return support::env::parse("GEO_TRANSPORT", TransportKind::Sim, parseTransportKind);
 }
 
-int defaultRanks() noexcept {
-    const char* env = std::getenv("GEO_RANKS");
-    const int parsed = env ? std::atoi(env) : 0;
-    return parsed >= 1 ? parsed : 1;
-}
+int defaultRanks() { return support::env::integer("GEO_RANKS", 1, 1, kMaxRanks); }
+
+int workerRank() { return support::env::integer("GEO_RANK", -1, 0, defaultRanks() - 1); }
 
 std::size_t dtypeSize(DType type) noexcept {
     switch (type) {

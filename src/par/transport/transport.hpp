@@ -34,7 +34,7 @@
 namespace geo::par {
 
 /// Failure classes a transport operation can surface. Every blocking socket
-/// operation is deadline-bounded (SocketConfig::opTimeoutMs), so a dead or
+/// operation is deadline-bounded (GEO_COMM_TIMEOUT_MS), so a dead or
 /// wedged peer produces one of these instead of an indefinite hang:
 ///   * Timeout       — the deadline expired with no progress (wedged peer,
 ///     network partition, absent rank at handshake time).
@@ -71,15 +71,16 @@ public:
     std::uint32_t seq;        ///< transport collective sequence number
 };
 
-/// GEO_COMM_TIMEOUT_MS resolution: deadline in milliseconds for every
-/// blocking socket-transport operation. Unset/unparseable → 30000. A value
-/// of 0 disables the deadline (pre-fault-tolerance blocking behavior).
-/// Not cached: tests and geo_launch workers mutate the environment.
-[[nodiscard]] int defaultCommTimeoutMs() noexcept;
+/// GEO_COMM_TIMEOUT_MS: deadline in milliseconds for every blocking
+/// socket-transport operation, in [0, 86400000]; 30000 when unset. 0
+/// disables the deadline (pre-fault-tolerance blocking behavior). Read under
+/// the support/env.hpp rule, like every GEO_* accessor below: uncached, and
+/// a malformed value throws std::invalid_argument.
+[[nodiscard]] int defaultCommTimeoutMs();
 
-/// GEO_CONNECT_TIMEOUT_MS resolution: deadline for mesh construction (dial
-/// retries + handshake accepts). Unset/unparseable → 30000.
-[[nodiscard]] int defaultConnectTimeoutMs() noexcept;
+/// GEO_CONNECT_TIMEOUT_MS: deadline for mesh construction (dial retries +
+/// handshake accepts), same range and default.
+[[nodiscard]] int defaultConnectTimeoutMs();
 
 /// Which transport a Machine run should use. Auto defers to the
 /// GEO_TRANSPORT environment variable (unset → Sim). Socket/Tcp are the
@@ -93,14 +94,15 @@ enum class TransportKind : std::uint8_t { Auto, Sim, Socket, Tcp };
 [[nodiscard]] TransportKind parseTransportKind(std::string_view name);
 [[nodiscard]] const char* transportKindName(TransportKind kind) noexcept;
 
-/// GEO_TRANSPORT environment resolution: parsed value when set, Sim when
-/// unset. Deliberately NOT cached (unlike defaultThreads): geo_launch
-/// workers and the precedence tests mutate the variable at runtime.
+/// GEO_TRANSPORT: the parsed value, Sim when unset.
 [[nodiscard]] TransportKind envTransportKind();
 
-/// GEO_RANKS environment resolution: the value when set and >= 1, else 1.
-/// Not cached, same reasoning as envTransportKind.
-[[nodiscard]] int defaultRanks() noexcept;
+/// GEO_RANKS: the SPMD rank count, in [1, 1024]; 1 when unset.
+[[nodiscard]] int defaultRanks();
+
+/// GEO_RANK: this process's rank in a geo_launch mesh, in [0, GEO_RANKS);
+/// -1 when unset (the process is not a worker).
+[[nodiscard]] int workerRank();
 
 /// Element types a typed reduction can fold. Deliberately a closed set:
 /// both backends must reduce with identical semantics, so every type is

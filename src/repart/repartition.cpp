@@ -17,20 +17,27 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// Warm-start when the probed center drift is at most this fraction of the
+/// expected cluster radius; fall back to the cold pipeline otherwise.
+constexpr double kDriftThresholdFactor = 0.25;
+/// Number of points the drift probe samples (deterministic stride).
+constexpr std::int64_t kProbeSample = 4096;
+
 /// Sampled Lloyd half-step against the previous (centers, influence):
 /// returns max_c dist(centroid_c, center_c) / expected cluster radius.
 /// Serial and cheap — O(sample · k) — so it runs before the SPMD machine
 /// spins up.
 template <int D>
 double probeDrift(std::span<const Point<D>> points, std::span<const double> weights,
-                  const RepartState<D>& state, std::int64_t probeSample) {
+                  const RepartState<D>& state) {
     const auto k = state.centers.size();
     const auto n = static_cast<std::int64_t>(points.size());
     // Keep ≥ 8 expected sample points per cluster even at large k, so the
     // stranded-center detection below never silently disarms. Floor-divided
     // stride guarantees sampled ≥ probeSample whenever n ≥ probeSample (at
     // the cost of at most 2·probeSample samples).
-    probeSample = std::max<std::int64_t>(probeSample, 8 * static_cast<std::int64_t>(k));
+    const std::int64_t probeSample =
+        std::max<std::int64_t>(kProbeSample, 8 * static_cast<std::int64_t>(k));
     const std::int64_t stride = std::max<std::int64_t>(1, n / probeSample);
 
     // The cluster-scale normalization only needs the bounding box of the
@@ -168,7 +175,6 @@ RepartResult<D> repartitionGeographer(std::span<const Point<D>> points,
                 "weights must be empty or match points");
     GEO_REQUIRE(!(options.forceCold && options.forceWarm),
                 "forceCold and forceWarm are mutually exclusive");
-    GEO_REQUIRE(options.probeSample >= 1, "probeSample must be at least 1");
 
     RepartResult<D> out;
     double probeSeconds = 0.0;
@@ -178,9 +184,9 @@ RepartResult<D> repartitionGeographer(std::span<const Point<D>> points,
             warm = true;
         } else {
             Timer probeTimer;
-            out.normalizedDrift = probeDrift<D>(points, weights, state, options.probeSample);
+            out.normalizedDrift = probeDrift<D>(points, weights, state);
             probeSeconds = probeTimer.seconds();
-            warm = *out.normalizedDrift <= options.driftThresholdFactor;
+            warm = *out.normalizedDrift <= kDriftThresholdFactor;
         }
     }
 

@@ -9,7 +9,7 @@
 //     starting from the previous centers and influence, and
 //   * the COLD path — the full partitionGeographer pipeline — whenever the
 //     workload moved too far for the old state to help (probed center drift
-//     above a threshold), or no previous state exists.
+//     above 0.25 expected cluster radii), or no previous state exists.
 // The drift probe is a cheap sampled Lloyd half-step: assign a deterministic
 // sample of the new points to the old (center, influence) state, measure how
 // far each cluster's centroid moved, and normalize by the expected cluster
@@ -43,11 +43,6 @@ struct RepartState {
 };
 
 struct RepartOptions {
-    /// Warm-start when the probed center drift is below this fraction of the
-    /// expected cluster radius; fall back to the cold pipeline otherwise.
-    double driftThresholdFactor = 0.25;
-    /// Number of points the drift probe samples (deterministic stride).
-    std::int64_t probeSample = 4096;
     /// Force the cold pipeline regardless of drift (re-partition baseline).
     bool forceCold = false;
     /// Force the warm path whenever state is available (skips the probe).

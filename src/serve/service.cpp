@@ -55,11 +55,9 @@ PartitionService<D>::PartitionService(ServiceConfig<D> config,
                 "initial step needs one id per point");
     GEO_REQUIRE(static_cast<std::int64_t>(initial.points.size()) >= config_.blocks,
                 "initial step needs at least one point per block");
-    eventThreshold_ = config_.repartitionEventThreshold > 0
-                          ? config_.repartitionEventThreshold
-                          : (config_.slo.maxStalenessEvents > 0
-                                 ? std::max<std::uint64_t>(1, config_.slo.maxStalenessEvents / 2)
-                                 : 4096);
+    eventThreshold_ = config_.slo.maxStalenessEvents > 0
+                          ? std::max<std::uint64_t>(1, config_.slo.maxStalenessEvents / 2)
+                          : 4096;
     startTime_ = HealthClock::now();
 
     live_.ids = std::move(initial.ids);
@@ -76,8 +74,7 @@ PartitionService<D>::PartitionService(ServiceConfig<D> config,
         live_.points, live_.weights, config_.blocks, config_.ranks,
         config_.settings, repartState_);
     router_.publish(PartitionSnapshot<D>::fromResult(rr.result, /*version=*/1,
-                                                     config_.ranks,
-                                                     config_.snapshotOptions));
+                                                     config_.ranks));
     publishedEpochs_.store(1, std::memory_order_relaxed);
     captureOriginNanos_.store(0, std::memory_order_relaxed);
     if (config_.onPublish) config_.onPublish(1, router_.snapshot());
@@ -322,8 +319,7 @@ void PartitionService<D>::repartitionLoop() {
                              std::span<std::int32_t>(stale));
                 misroute = misrouteStats(stale, rr.result.partition).fraction();
             }
-            return PartitionSnapshot<D>::fromResult(rr.result, epoch, config_.ranks,
-                                                    config_.snapshotOptions);
+            return PartitionSnapshot<D>::fromResult(rr.result, epoch, config_.ranks);
         });
 
         if (ok) {

@@ -156,12 +156,8 @@ struct ServiceConfig {
     int ingestWorkers = 1;
     /// Repartition cadence floor: the worker recomputes at least this often
     /// while churn arrives, and immediately once pending (unsnapshotted)
-    /// events reach repartitionEventThreshold.
+    /// events reach half of slo.maxStalenessEvents (4096 when that is 0).
     double repartitionIntervalSeconds = 0.05;
-    /// 0 = derive: half of slo.maxStalenessEvents when that is set, else
-    /// 4096.
-    std::uint64_t repartitionEventThreshold = 0;
-    SnapshotOptions snapshotOptions;
 
     // ---- test seams (no-ops when empty) ------------------------------
     /// Runs inside the tryPublish factory right before the snapshot is
@@ -254,7 +250,7 @@ private:
     [[nodiscard]] double stalenessSecondsNow() const noexcept;
 
     ServiceConfig<D> config_;
-    std::uint64_t eventThreshold_ = 0;  ///< resolved repartitionEventThreshold
+    std::uint64_t eventThreshold_ = 0;  ///< pending events that trigger a repartition
     Router<D> router_;
     repart::RepartState<D> repartState_;
     HealthClock::time_point startTime_{};

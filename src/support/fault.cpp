@@ -5,24 +5,13 @@
 
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <limits>
 #include <stdexcept>
 
+#include "par/transport/transport.hpp"
+#include "support/env.hpp"
+
 namespace geo::support {
-
-namespace {
-
-long parseNumber(const std::string& value, const char* what) {
-    char* end = nullptr;
-    const long v = std::strtol(value.c_str(), &end, 10);
-    if (!end || *end != '\0' || value.empty())
-        throw std::invalid_argument(std::string("GEO_FAULT: bad ") + what + " '" +
-                                    value + "'");
-    return v;
-}
-
-}  // namespace
 
 std::optional<FaultSpec> parseFaultSpec(const char* spec) {
     if (!spec || *spec == '\0') return std::nullopt;
@@ -40,7 +29,7 @@ std::optional<FaultSpec> parseFaultSpec(const char* spec) {
     } else if (action == "drop") {
         out.action = FaultSpec::Action::Drop;
     } else {
-        throw std::invalid_argument("GEO_FAULT: unknown action '" + action +
+        throw std::invalid_argument("unknown action '" + action +
                                     "' (use kill, exit, delay, or drop)");
     }
 
@@ -51,49 +40,41 @@ std::optional<FaultSpec> parseFaultSpec(const char* spec) {
             start, pos == std::string::npos ? std::string::npos : pos - start);
         const std::size_t eq = field.find('=');
         if (eq == std::string::npos)
-            throw std::invalid_argument("GEO_FAULT: field '" + field +
-                                        "' is not key=value");
+            throw std::invalid_argument("field '" + field + "' is not key=value");
         const std::string key = field.substr(0, eq);
         const std::string value = field.substr(eq + 1);
+        const auto number = [&](auto lo, auto hi) {
+            try {
+                return env::parseInteger(value, lo, hi);
+            } catch (const std::invalid_argument& e) {
+                throw std::invalid_argument("bad " + key + " '" + value + "': " + e.what());
+            }
+        };
         if (key == "rank") {
-            out.rank = static_cast<int>(parseNumber(value, "rank"));
+            out.rank = number(0, std::numeric_limits<int>::max());
         } else if (key == "op") {
             out.op = value;
         } else if (key == "seq") {
-            out.seq = static_cast<std::uint64_t>(parseNumber(value, "seq"));
+            out.seq = number(std::uint64_t{0}, FaultSpec::kAnySeq - 1);
         } else if (key == "code") {
-            out.exitCode = static_cast<int>(parseNumber(value, "code"));
+            out.exitCode = number(0, 255);
         } else if (key == "ms") {
-            out.delayMs = static_cast<int>(parseNumber(value, "ms"));
+            out.delayMs = number(0, 3600 * 1000);
         } else if (key == "once") {
             out.onceMarker = value;
         } else {
-            throw std::invalid_argument("GEO_FAULT: unknown key '" + key + "'");
+            throw std::invalid_argument("unknown key '" + key + "'");
         }
     }
     return out;
 }
 
+std::optional<FaultSpec> envFaultSpec() {
+    return env::parse("GEO_FAULT", std::optional<FaultSpec>{},
+                      [](const std::string& spec) { return parseFaultSpec(spec.c_str()); });
+}
+
 namespace {
-
-/// GEO_FAULT parsed once per process. A malformed spec aborts on first use:
-/// a chaos run with a typoed fault must not silently run fault-free.
-const std::optional<FaultSpec>& processFaultSpec() {
-    static const std::optional<FaultSpec> spec = [] {
-        try {
-            return parseFaultSpec(std::getenv("GEO_FAULT"));
-        } catch (const std::exception& e) {
-            std::fprintf(stderr, "[geo-fault] %s\n", e.what());
-            std::abort();
-        }
-    }();
-    return spec;
-}
-
-int envRank() noexcept {
-    const char* env = std::getenv("GEO_RANK");
-    return env && *env != '\0' ? std::atoi(env) : -1;
-}
 
 /// Returns true when this process claims the one-shot marker (file absent
 /// and created now); O_EXCL makes the claim atomic across ranks sharing a
@@ -108,7 +89,7 @@ bool claimOnceMarker(const std::string& path) {
 }  // namespace
 
 void faultPoint(const char* op, std::uint64_t seq, int rank) {
-    const auto& spec = processFaultSpec();
+    const auto spec = envFaultSpec();
     if (!spec) return;
     if (spec->rank >= 0 && spec->rank != rank) return;
     if (!spec->op.empty() && spec->op != op) return;
@@ -135,6 +116,8 @@ void faultPoint(const char* op, std::uint64_t seq, int rank) {
     }
 }
 
-void faultPoint(const char* op, std::uint64_t seq) { faultPoint(op, seq, envRank()); }
+void faultPoint(const char* op, std::uint64_t seq) {
+    faultPoint(op, seq, par::workerRank());
+}
 
 }  // namespace geo::support

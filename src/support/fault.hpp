@@ -60,18 +60,22 @@ struct FaultSpec {
 
 /// Parse a spec string. Returns std::nullopt for an empty/absent spec;
 /// throws std::invalid_argument on a malformed one (unknown action or key,
-/// bad number) — a typo in a chaos test must fail loudly, not silently
-/// disable the fault.
+/// a number that is not a decimal integer in its field's range: rank >= 0,
+/// seq >= 0, code in [0, 255], ms in [0, 3600000]) — a typo in a chaos test
+/// must fail loudly, not silently disable the fault.
 [[nodiscard]] std::optional<FaultSpec> parseFaultSpec(const char* spec);
 
+/// GEO_FAULT parsed under the support/env.hpp rule: std::nullopt when unset,
+/// std::invalid_argument naming the variable when malformed, never cached.
+[[nodiscard]] std::optional<FaultSpec> envFaultSpec();
+
 /// Execute a fault point named `op` at sequence number `seq` on `rank`.
-/// Matches against the process-wide GEO_FAULT spec (parsed once, cached);
-/// no-op in the common case of no spec. `rank` = -1 matches only
-/// rank-unselective specs.
+/// Matches against envFaultSpec(); no-op in the common case of no spec.
+/// `rank` = -1 matches only rank-unselective specs.
 void faultPoint(const char* op, std::uint64_t seq, int rank);
 
-/// Convenience for application-level fault points: the rank is taken from
-/// the GEO_RANK worker environment (-1 outside a worker).
+/// Convenience for application-level fault points: the rank is the
+/// geo_launch worker's GEO_RANK (par::workerRank, -1 outside a worker).
 void faultPoint(const char* op, std::uint64_t seq);
 
 }  // namespace geo::support

@@ -2,19 +2,20 @@
 //
 // The chunked point pipeline (core/point_store.hpp) is budgeted in bytes;
 // this header supplies the two sides of that contract: reading the budget
-// (Settings::memoryBudgetBytes / the GEO_MEM_BUDGET environment variable,
-// with K/M/G suffixes) and observing what the process actually used (current
-// and peak RSS), which the BENCH_*.json writers record so the CI bench
-// trajectory can assert a budgeted run stayed under its cap.
+// (Settings::memoryBudgetBytes / GEO_MEM_BUDGET, with K/M/G suffixes) and
+// observing what the process actually used (current and peak RSS), which
+// the BENCH_*.json writers record so the CI bench trajectory can assert a
+// budgeted run stayed under its cap.
 #pragma once
 
 #include <cctype>
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+
+#include "support/env.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
@@ -98,14 +99,10 @@ namespace geo::support {
     return value * multiplier;
 }
 
-/// The GEO_MEM_BUDGET environment variable as bytes; 0 (= unlimited) when
-/// unset or empty. Deliberately NOT cached — geo_launch workers and the
-/// precedence tests mutate the environment at runtime, mirroring
-/// Settings::resolvedRanks.
+/// GEO_MEM_BUDGET as bytes (parseMemBytes syntax); 0 (= unlimited) when
+/// unset, and std::invalid_argument on a malformed value (support/env.hpp).
 [[nodiscard]] inline std::uint64_t envMemoryBudget() {
-    const char* env = std::getenv("GEO_MEM_BUDGET");
-    if (env == nullptr || *env == '\0') return 0;
-    return parseMemBytes(env);
+    return env::parse("GEO_MEM_BUDGET", std::uint64_t{0}, parseMemBytes);
 }
 
 }  // namespace geo::support

@@ -41,6 +41,7 @@
 #include "par/transport/transport.hpp"
 #include "repart/repartition.hpp"
 #include "repart/scenarios.hpp"
+#include "scoped_env.hpp"
 #include "serve/router.hpp"
 #include "serve/snapshot.hpp"
 #include "support/binio.hpp"
@@ -57,6 +58,7 @@ using geo::par::Comm;
 using geo::par::TransportError;
 using geo::par::TransportErrorKind;
 using geo::support::FaultSpec;
+using geo::test::ScopedEnv;
 
 /// Worker exit-code convention: typed transport failures map to 42 + kind
 /// so the parent can assert WHICH failure class a survivor saw.
@@ -97,18 +99,6 @@ double nowSeconds() {
         .count();
 }
 
-/// Set an environment variable for the current scope; the suite scrubs all
-/// GEO_* worker variables at startup, so restoring means unsetting.
-struct ScopedEnv {
-    std::string key;
-    ScopedEnv(const char* k, const std::string& value) : key(k) {
-        ::setenv(k, value.c_str(), 1);
-    }
-    ~ScopedEnv() { ::unsetenv(key.c_str()); }
-    ScopedEnv(const ScopedEnv&) = delete;
-    ScopedEnv& operator=(const ScopedEnv&) = delete;
-};
-
 // ------------------------------------------------------- mini-launcher
 
 struct MeshRun {
@@ -116,16 +106,24 @@ struct MeshRun {
     double elapsedSeconds = 0.0;
 };
 
+/// One environment variable a spawned rank gets; `rank` = -1 means every
+/// rank.
+struct RankEnv {
+    std::string key;
+    std::string value;
+    int rank = -1;
+};
+
 /// Fork `spawn` ranks of a `mesh`-sized socket mesh running
-/// `--worker=<worker>`, with `extraEnv` (e.g. GEO_FAULT) in every rank's
-/// environment. Unlike geo_launch this NEVER tears survivors down on first
-/// failure — the point is to observe what the survivors do on their own.
-/// Once `reapAfterExits` ranks have exited (or `deadlineSeconds` passes)
-/// the stragglers are SIGKILLed, which is how the wedged-peer (drop) rank
-/// gets reaped.
+/// `--worker=<worker>`, with `extraEnv` (e.g. GEO_FAULT) in the selected
+/// ranks' environments. Unlike geo_launch this NEVER tears survivors down on
+/// first failure — the point is to observe what the survivors do on their
+/// own. Once `reapAfterExits` ranks have exited (or `deadlineSeconds`
+/// passes) the stragglers are SIGKILLed, which is how the wedged-peer (drop)
+/// rank gets reaped.
 MeshRun runMesh(const std::string& worker, int spawn, int mesh,
-                const std::vector<std::pair<std::string, std::string>>& extraEnv,
-                double deadlineSeconds, int reapAfterExits = -1) {
+                const std::vector<RankEnv>& extraEnv, double deadlineSeconds,
+                int reapAfterExits = -1) {
     char dirTemplate[] = "/tmp/geo_fault_mesh_XXXXXX";
     const char* dir = ::mkdtemp(dirTemplate);
     MeshRun run;
@@ -142,8 +140,9 @@ MeshRun runMesh(const std::string& worker, int spawn, int mesh,
             ::setenv("GEO_RANKS", std::to_string(mesh).c_str(), 1);
             ::setenv("GEO_TRANSPORT", "socket", 1);
             ::setenv("GEO_SOCKET_DIR", dir, 1);
-            for (const auto& [key, value] : extraEnv)
-                ::setenv(key.c_str(), value.c_str(), 1);
+            for (const auto& var : extraEnv)
+                if (var.rank < 0 || var.rank == r)
+                    ::setenv(var.key.c_str(), var.value.c_str(), 1);
             ::execl(exe.c_str(), exe.c_str(), workerArg.c_str(),
                     static_cast<char*>(nullptr));
             ::_exit(127);
@@ -413,21 +412,20 @@ TEST(TransportErrorType, KindNamesAreDistinct) {
 }
 
 TEST(TransportErrorType, CommTimeoutResolution) {
-    ::unsetenv("GEO_COMM_TIMEOUT_MS");
-    geo::core::Settings s;
-    EXPECT_EQ(s.resolvedCommTimeoutMs(), 30000);  // built-in default
+    // GEO_COMM_TIMEOUT_MS (what geo_launch --comm-timeout-ms sets) is the
+    // one way to set the socket deadline.
+    EXPECT_EQ(geo::par::defaultCommTimeoutMs(), 30000);  // built-in default
     {
         const ScopedEnv env("GEO_COMM_TIMEOUT_MS", "250");
-        EXPECT_EQ(s.resolvedCommTimeoutMs(), 250);  // env wins over default
-        s.commTimeoutMs = 1234;
-        EXPECT_EQ(s.resolvedCommTimeoutMs(), 1234);  // explicit wins over env
-        s.commTimeoutMs = 0;
-        EXPECT_EQ(s.resolvedCommTimeoutMs(), 0);  // 0 = disabled, still explicit
+        EXPECT_EQ(geo::par::defaultCommTimeoutMs(), 250);
+    }
+    {
+        const ScopedEnv env("GEO_COMM_TIMEOUT_MS", "0");
+        EXPECT_EQ(geo::par::defaultCommTimeoutMs(), 0);  // 0 = disabled
     }
     {
         const ScopedEnv env("GEO_COMM_TIMEOUT_MS", "not-a-number");
-        s.commTimeoutMs = -1;
-        EXPECT_EQ(s.resolvedCommTimeoutMs(), 30000);  // garbage falls back
+        EXPECT_THROW((void)geo::par::defaultCommTimeoutMs(), std::invalid_argument);
     }
     EXPECT_EQ(geo::par::defaultConnectTimeoutMs(), 30000);
 }
@@ -641,18 +639,22 @@ TEST(Chaos, KillMidAlltoallvIsTypedNotSigpipe) {
 
 TEST(Chaos, DroppedPeerSurfacesAsDeadlineTimeout) {
     // drop wedges rank 1 without closing its sockets: survivors see
-    // silence, not EOF, and must hit the 750 ms inactivity deadline.
-    const double deadlineMs = 750.0;
-    const auto run = runMesh(
-        "chaos-allreduce", 3, 3,
-        {{"GEO_FAULT", "drop:rank=1:op=allreduce"},
-         {"GEO_COMM_TIMEOUT_MS", "750"}},
-        /*deadlineSeconds=*/60.0, /*reapAfterExits=*/2);
+    // silence, not EOF, and must hit their inactivity deadlines. The
+    // allreduce gathers to rank 0 and then broadcasts, so rank 2 waits on a
+    // live rank 0 that is itself waiting on rank 1. Rank 2's deadline must
+    // therefore expire well before rank 0's: were rank 0 to time out and
+    // exit first, rank 2 would see its socket close (PeerClosed).
+    const double longerDeadlineMs = 2250.0;
+    const auto run = runMesh("chaos-allreduce", 3, 3,
+                             {{"GEO_FAULT", "drop:rank=1:op=allreduce"},
+                              {"GEO_COMM_TIMEOUT_MS", "2250", 0},
+                              {"GEO_COMM_TIMEOUT_MS", "750", 2}},
+                             /*deadlineSeconds=*/60.0, /*reapAfterExits=*/2);
     EXPECT_EQ(run.status[0], kExitTimeout);
     EXPECT_EQ(run.status[2], kExitTimeout);
     EXPECT_EQ(run.status[1], 128 + SIGKILL);  // the harness reaped the wedge
     // "Within 2× the deadline" plus mesh setup/exec slack on a loaded box.
-    EXPECT_LT(run.elapsedSeconds, 2.0 * deadlineMs / 1000.0 + 15.0);
+    EXPECT_LT(run.elapsedSeconds, 2.0 * longerDeadlineMs / 1000.0 + 15.0);
 }
 
 TEST(Chaos, AbsentRankFailsHandshakeTyped) {

@@ -21,6 +21,7 @@
 #include "hier/hier_partition.hpp"
 #include "hier/topology.hpp"
 #include "repart/repartition.hpp"
+#include "scoped_env.hpp"
 #include "support/mem.hpp"
 #include "support/rng.hpp"
 
@@ -32,6 +33,7 @@ using geo::core::GeographerResult;
 using geo::core::PointStore;
 using geo::core::Settings;
 using geo::support::parseMemBytes;
+using geo::test::ScopedEnv;
 
 std::vector<double> fractionalWeights(std::size_t n, std::uint64_t seed) {
     Xoshiro256 rng(seed);
@@ -40,33 +42,6 @@ std::vector<double> fractionalWeights(std::size_t n, std::uint64_t seed) {
     for (std::size_t i = 0; i < n; ++i) w.push_back(0.25 + rng.uniform());
     return w;
 }
-
-/// Restores (or clears) GEO_MEM_BUDGET when the test ends, so env-mutating
-/// tests cannot leak into each other or the rest of the binary.
-class ScopedBudgetEnv {
-public:
-    explicit ScopedBudgetEnv(const char* value) {
-        const char* old = std::getenv("GEO_MEM_BUDGET");
-        had_ = old != nullptr;
-        if (had_) saved_ = old;
-        if (value != nullptr)
-            setenv("GEO_MEM_BUDGET", value, 1);
-        else
-            unsetenv("GEO_MEM_BUDGET");
-    }
-    ~ScopedBudgetEnv() {
-        if (had_)
-            setenv("GEO_MEM_BUDGET", saved_.c_str(), 1);
-        else
-            unsetenv("GEO_MEM_BUDGET");
-    }
-    ScopedBudgetEnv(const ScopedBudgetEnv&) = delete;
-    ScopedBudgetEnv& operator=(const ScopedBudgetEnv&) = delete;
-
-private:
-    bool had_ = false;
-    std::string saved_;
-};
 
 TEST(ParseMemBytes, PlainAndSuffixedValues) {
     EXPECT_EQ(parseMemBytes("0"), 0u);
@@ -90,7 +65,7 @@ TEST(ParseMemBytes, RejectsGarbageAndOverflow) {
 }
 
 TEST(MemoryBudget, SettingsFieldWinsOverEnvironment) {
-    const ScopedBudgetEnv env("1m");
+    const ScopedEnv env("GEO_MEM_BUDGET", "1m");
     Settings s;
     EXPECT_EQ(s.resolvedMemoryBudget(), 1024u * 1024);  // env fallback
     s.memoryBudgetBytes = 4096;
@@ -98,17 +73,17 @@ TEST(MemoryBudget, SettingsFieldWinsOverEnvironment) {
 }
 
 TEST(MemoryBudget, UnsetEnvironmentMeansUnlimited) {
-    const ScopedBudgetEnv env(nullptr);
+    const ScopedEnv env("GEO_MEM_BUDGET", nullptr);
     Settings s;
     EXPECT_EQ(s.resolvedMemoryBudget(), 0u);
 }
 
 TEST(MemoryBudget, UnparseableEnvironmentThrows) {
-    const ScopedBudgetEnv env("lots");
+    const ScopedEnv env("GEO_MEM_BUDGET", "lots");
     Settings s;
     EXPECT_THROW(s.resolvedMemoryBudget(), std::invalid_argument);
-    // Deliberately uncached: fixing the variable fixes the resolution.
-    setenv("GEO_MEM_BUDGET", "8k", 1);
+    // Uncached: fixing the variable fixes the resolution.
+    const ScopedEnv fixed("GEO_MEM_BUDGET", "8k");
     EXPECT_EQ(s.resolvedMemoryBudget(), 8192u);
 }
 
@@ -308,7 +283,7 @@ TEST(ChunkedVsResident, EnvironmentBudgetDrivesTheEngineToo) {
     const auto mesh = geo::gen::delaunay2d(3000, 337);
     Settings s;
     const auto want = geo::core::partitionGeographer<2>(mesh.points, {}, 6, 1, s);
-    const ScopedBudgetEnv env("32k");
+    const ScopedEnv env("GEO_MEM_BUDGET", "32k");
     const auto got = geo::core::partitionGeographer<2>(mesh.points, {}, 6, 1, s);
     EXPECT_EQ(got.partition, want.partition);
     EXPECT_EQ(got.centerCoords, want.centerCoords);

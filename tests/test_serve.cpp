@@ -37,7 +37,6 @@ using geo::Xoshiro256;
 using geo::core::Settings;
 using geo::serve::PartitionSnapshot;
 using geo::serve::Router;
-using geo::serve::SnapshotOptions;
 
 std::vector<double> fractionalWeights(std::size_t n, std::uint64_t seed) {
     Xoshiro256 rng(seed);
@@ -203,22 +202,24 @@ TEST(ServeSnapshot, HierarchicalWarmRepartitionRoutesBitwise) {
 }
 
 TEST(ServeSnapshot, KdTreeRoutingMatchesLinearScan) {
+    // The snapshot picks the kd-tree from the block count it observes: a
+    // scan below kKdTreeFromK, the tree from there on. Both must reproduce
+    // the partition that produced them.
     const auto mesh = geo::gen::delaunay2d(5000, 239);
-    const std::int32_t k = 48;
     Settings settings;
-    const auto res = geo::core::partitionGeographer<2>(mesh.points, {}, k, 1, settings);
+    constexpr std::int32_t scanK = 48;
+    constexpr std::int32_t treeK = PartitionSnapshot<2>::kKdTreeFromK;
+    static_assert(scanK < treeK);
+    const auto scanRes = geo::core::partitionGeographer<2>(mesh.points, {}, scanK, 1, settings);
+    const auto treeRes = geo::core::partitionGeographer<2>(mesh.points, {}, treeK, 1, settings);
 
-    SnapshotOptions treeOptions;
-    treeOptions.kdTreeFromK = 1;  // force the tree even at small k
-    const auto withTree = PartitionSnapshot<2>::fromResult(res, 1, 0, treeOptions);
-    SnapshotOptions scanOptions;
-    scanOptions.kdTreeFromK = 0;  // never build the tree
-    const auto withScan = PartitionSnapshot<2>::fromResult(res, 1, 0, scanOptions);
-    EXPECT_TRUE(withTree.usesKdTree());
+    const auto withScan = PartitionSnapshot<2>::fromResult(scanRes, 1);
+    const auto withTree = PartitionSnapshot<2>::fromResult(treeRes, 1);
     EXPECT_FALSE(withScan.usesKdTree());
+    EXPECT_TRUE(withTree.usesKdTree());
 
-    expectRoutesMatch<2>(withTree, mesh.points, res.partition, "kdtree");
-    expectRoutesMatch<2>(withScan, mesh.points, res.partition, "linear");
+    expectRoutesMatch<2>(withScan, mesh.points, scanRes.partition, "linear");
+    expectRoutesMatch<2>(withTree, mesh.points, treeRes.partition, "kdtree");
 }
 
 TEST(ServeSnapshot, SaveLoadRoundTripsExactly) {

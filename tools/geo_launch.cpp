@@ -208,8 +208,8 @@ int main(int argc, char** argv) {
     int portBase = 0;
     int restart = 0;
     int graceMs = 2000;
-    int commTimeoutMs = -1;
-    int connectTimeoutMs = -1;
+    int commTimeout = -1;
+    int connectTimeout = -1;
     int cmdStart = -1;
 
     for (int i = 1; i < argc; ++i) {
@@ -247,10 +247,10 @@ int main(int argc, char** argv) {
             graceMs = parseInt(argv[i], "grace period");
         } else if (arg == "--comm-timeout-ms") {
             if (++i >= argc) { usage(argv[0]); return 2; }
-            commTimeoutMs = parseInt(argv[i], "comm timeout");
+            commTimeout = parseInt(argv[i], "comm timeout");
         } else if (arg == "--connect-timeout-ms") {
             if (++i >= argc) { usage(argv[0]); return 2; }
-            connectTimeoutMs = parseInt(argv[i], "connect timeout");
+            connectTimeout = parseInt(argv[i], "connect timeout");
         } else {
             usage(argv[0]);
             return 2;
@@ -287,10 +287,10 @@ int main(int argc, char** argv) {
 
     // Deadlines travel by environment so the workers' transport picks them
     // up without any per-program flag plumbing (children inherit these).
-    if (commTimeoutMs >= 0)
-        setenv("GEO_COMM_TIMEOUT_MS", std::to_string(commTimeoutMs).c_str(), 1);
-    if (connectTimeoutMs >= 0)
-        setenv("GEO_CONNECT_TIMEOUT_MS", std::to_string(connectTimeoutMs).c_str(), 1);
+    if (commTimeout >= 0)
+        setenv("GEO_COMM_TIMEOUT_MS", std::to_string(commTimeout).c_str(), 1);
+    if (connectTimeout >= 0)
+        setenv("GEO_CONNECT_TIMEOUT_MS", std::to_string(connectTimeout).c_str(), 1);
 
     LaunchPlan plan;
     plan.ranks = ranks;
