@@ -125,10 +125,10 @@ void assignSweepBench(benchmark::State& state, int threads) {
 
     core::Settings s;
     s.threads = threads;
-    core::AssignEngine<DIM> engine(pts, {}, s, k);
     std::vector<std::size_t> order(static_cast<std::size_t>(n));
     std::iota(order.begin(), order.end(), std::size_t{0});
-    engine.setActive(order, order.size());
+    core::AssignEngine<DIM> engine(pts, {}, order, s, k);
+    engine.setActive(order.size());
     std::vector<double> sizes(static_cast<std::size_t>(k), 0.0);
     for (auto _ : state) {
         engine.resetBounds();
@@ -153,8 +153,11 @@ BENCHMARK(BM_AssignSweep3D_FastT2)->Arg(1 << 20);
 BENCHMARK(BM_AssignSweep3D_FastT4)->Arg(1 << 20);
 
 // Whole algorithm across the scenario grid the engine serves: full vs
-// sampled initialization, unit vs weighted points.
-void kmeansEngineBench(benchmark::State& state, bool sampled, bool weighted) {
+// sampled initialization, unit vs weighted points. The sampled T2 variant
+// walks a random active order on two threads — the case whose per-point
+// state layout the assignment sweeps above (identity order) cannot show.
+void kmeansEngineBench(benchmark::State& state, bool sampled, bool weighted,
+                       int threads = 1) {
     const auto n = state.range(0);
     const auto pts = points2(n);
     Xoshiro256 rng(11);
@@ -165,6 +168,7 @@ void kmeansEngineBench(benchmark::State& state, bool sampled, bool weighted) {
     for (int c = 0; c < 64; ++c) centers.push_back(Point2{{rng.uniform(), rng.uniform()}});
     core::Settings s;
     s.sampledInitialization = sampled;
+    s.threads = threads;
     for (auto _ : state) {
         par::runSpmd(1, [&](par::Comm& comm) {
             auto out = core::balancedKMeans<2>(comm, pts, weights, centers, s);
@@ -176,9 +180,13 @@ void kmeansEngineBench(benchmark::State& state, bool sampled, bool weighted) {
 
 void BM_KMeansFull_Fast(benchmark::State& state) { kmeansEngineBench(state, false, false); }
 void BM_KMeansSampled_Fast(benchmark::State& state) { kmeansEngineBench(state, true, false); }
+void BM_KMeansSampled_FastT2(benchmark::State& state) {
+    kmeansEngineBench(state, true, false, 2);
+}
 void BM_KMeansWeighted_Fast(benchmark::State& state) { kmeansEngineBench(state, false, true); }
 BENCHMARK(BM_KMeansFull_Fast)->Arg(1 << 16);
 BENCHMARK(BM_KMeansSampled_Fast)->Arg(1 << 16);
+BENCHMARK(BM_KMeansSampled_FastT2)->Arg(1 << 16);
 BENCHMARK(BM_KMeansWeighted_Fast)->Arg(1 << 16);
 
 void BM_SampleSort(benchmark::State& state) {

@@ -29,27 +29,42 @@ static_assert(kAssignBlock == PointStore<2>::kTilePoints &&
 template <int D>
 AssignEngine<D>::AssignEngine(std::span<const Point<D>> points,
                               std::span<const double> weights,
+                              std::span<const std::size_t> order,
                               const Settings& settings, std::int32_t k)
     : points_(points),
       weights_(weights),
+      order_(order),
       settings_(settings),
       k_(k),
       store_(points, weights, settings.resolvedMemoryBudget()) {
     GEO_REQUIRE(k_ >= 1, "need at least one center");
     GEO_REQUIRE(weights_.empty() || weights_.size() == points_.size(),
                 "weights must be empty or match points");
-    assignment_.assign(points_.size(), -1);
-    ub_.assign(points_.size(), kInf);
-    lb_.assign(points_.size(), 0.0);
-    epoch_.assign(points_.size(), 0);
+    GEO_REQUIRE(order_.size() <= points_.size(), "order lists more slots than points");
     scratch_.resize(static_cast<std::size_t>(settings_.resolvedThreads()));
 }
 
 template <int D>
-void AssignEngine<D>::setActive(std::span<const std::size_t> order,
-                                std::size_t activeCount) {
-    store_.setActive(order, activeCount, settings_.resolvedThreads());
+void AssignEngine<D>::setActive(std::size_t activeCount) {
+    // The per-slot state is allocated on the first activation, not in the
+    // constructor: the same bytes, but placed so that a process running many
+    // k-means calls kept the smaller heap of the point-id layout (DESIGN.md
+    // "Per-point state in slot order").
+    if (assignment_.size() != order_.size()) {
+        assignment_.assign(order_.size(), -1);
+        ub_.assign(order_.size(), kInf);
+        lb_.assign(order_.size(), 0.0);
+        epoch_.assign(order_.size(), 0);
+    }
+    store_.setActive(order_, activeCount, settings_.resolvedThreads());
     recordStoreCounters();
+}
+
+template <int D>
+std::vector<std::int32_t> AssignEngine<D>::assignment() const {
+    std::vector<std::int32_t> byPoint(points_.size(), -1);
+    for (std::size_t s = 0; s < assignment_.size(); ++s) byPoint[order_[s]] = assignment_[s];
+    return byPoint;
 }
 
 /// Surface the store's accounting through KMeansCounters. The store totals
@@ -161,7 +176,6 @@ void AssignEngine<D>::updateCenters(std::span<double> sums) {
         (std::min(store_.wavePoints(), active) + kAssignBlock - 1) / kAssignBlock;
     blockSums_.resize(waveBlocks * stride);
     const int threads = settings_.resolvedThreads();
-    const std::size_t* ids = store_.ids().data();
     // Same wave-then-block left fold as sweep(): bitwise identical at every
     // budget and thread count.
     for (std::size_t w = 0; w < store_.waveCount(); ++w) {
@@ -175,8 +189,8 @@ void AssignEngine<D>::updateCenters(std::span<double> sums) {
                     const std::size_t j0 = b * kAssignBlock;
                     const std::size_t j1 = std::min(wave.count, j0 + kAssignBlock);
                     for (std::size_t j = j0; j < j1; ++j) {
-                        const auto c = static_cast<std::size_t>(
-                            assignment_[ids[wave.begin + j]]);
+                        const auto c =
+                            static_cast<std::size_t>(assignment_[wave.begin + j]);
                         const double weight = wave.weight[j];
                         double* row = partial + c * (D + 1);
                         for (int d = 0; d < D; ++d)
@@ -198,52 +212,54 @@ void AssignEngine<D>::processBlock(const typename PointStore<D>::WaveView& wave,
                                    double* blockSizes) {
     const std::size_t j0 = block * kAssignBlock;
     const std::size_t j1 = std::min(wave.count, j0 + kAssignBlock);
-    const std::size_t* ids = store_.ids().data();
-    scratch.pointIdx.clear();
+    scratch.slots.clear();
     for (int d = 0; d < D; ++d) scratch.gx[static_cast<std::size_t>(d)].clear();
 
+    // Tile lane j is active slot wave.begin + j: the block's bounds,
+    // epochs and assignments are one contiguous slot range.
     for (std::size_t j = j0; j < j1; ++j) {
-        const std::size_t p = ids[wave.begin + j];
+        const std::size_t slot = wave.begin + j;
         scratch.counters.pointEvaluations++;
-        if (settings_.hamerlyBounds && assignment_[p] >= 0) {
-            applyEpochs(p, scratch.counters);
-            if (ub_[p] < lb_[p]) {
+        if (settings_.hamerlyBounds && assignment_[slot] >= 0) {
+            applyEpochs(slot, scratch.counters);
+            if (ub_[slot] < lb_[slot]) {
                 scratch.counters.boundSkips++;  // membership provably unchanged
                 continue;
             }
         }
-        scratch.pointIdx.push_back(p);
+        scratch.slots.push_back(slot);
         if (!settings_.useKdTree)
             for (int d = 0; d < D; ++d)
                 scratch.gx[static_cast<std::size_t>(d)].push_back(
                     wave.x[static_cast<std::size_t>(d)][j]);
     }
 
-    if (!scratch.pointIdx.empty()) {
+    if (!scratch.slots.empty()) {
         if (settings_.useKdTree) {
             const std::uint32_t cur = currentEpoch();
-            for (const std::size_t p : scratch.pointIdx) {
-                const auto q = tree_.queryNearestIds(points_[p]);
-                assignment_[p] = q.best;
+            for (const std::size_t slot : scratch.slots) {
+                const Point<D>& p = points_[order_[slot]];
+                const auto q = tree_.queryNearestIds(p);
+                assignment_[slot] = q.best;
                 const auto bc = static_cast<std::size_t>(q.best);
-                ub_[p] = distance(points_[p], centers_[bc]) / influence_[bc];
+                ub_[slot] = distance(p, centers_[bc]) / influence_[bc];
                 if (q.second >= 0) {
                     const auto sc = static_cast<std::size_t>(q.second);
-                    lb_[p] = distance(points_[p], centers_[sc]) / influence_[sc];
+                    lb_[slot] = distance(p, centers_[sc]) / influence_[sc];
                 } else {
-                    lb_[p] = kInf;
+                    lb_[slot] = kInf;
                 }
-                epoch_[p] = cur;
+                epoch_[slot] = cur;
             }
         } else {
-            batchKernel(scratch, scratch.pointIdx.size());
+            batchKernel(scratch, scratch.slots.size());
         }
     }
 
     // Per-block weighted sizes, accumulated in slot order within the block.
     for (std::int32_t c = 0; c < k_; ++c) blockSizes[c] = 0.0;
     for (std::size_t j = j0; j < j1; ++j)
-        blockSizes[assignment_[ids[wave.begin + j]]] += wave.weight[j];
+        blockSizes[assignment_[wave.begin + j]] += wave.weight[j];
 }
 
 namespace {
@@ -272,20 +288,22 @@ void AssignEngine<D>::batchKernel(Scratch& scratch, std::size_t m) {
     // domain with the seed algorithm's expression distance(p,c)/influence(c)
     // — never from the squared values, which can differ in the last ulp —
     // so ub/lb stay bitwise equal to the seed's (the only sqrts on this
-    // path, at most two per assigned point).
+    // path, at most two per assigned point). p is the lane's gathered
+    // copy of the point: the same doubles, so the same bits.
     const auto materialize = [&](std::size_t j) {
-        const std::size_t p = scratch.pointIdx[j];
+        const std::size_t slot = scratch.slots[j];
+        Point<D> p;
+        for (int d = 0; d < D; ++d) p[d] = scratch.gx[static_cast<std::size_t>(d)][j];
         const auto bc = static_cast<std::int32_t>(scratch.bestC[j]);
         GEO_CHECK(bc >= 0, "assignment found no center");
-        assignment_[p] = bc;
-        ub_[p] = distance(points_[p], centers_[static_cast<std::size_t>(bc)]) /
-                 influence_[static_cast<std::size_t>(bc)];
+        assignment_[slot] = bc;
+        ub_[slot] = distance(p, centers_[static_cast<std::size_t>(bc)]) /
+                    influence_[static_cast<std::size_t>(bc)];
         const auto sc = static_cast<std::int32_t>(scratch.secondC[j]);
-        lb_[p] = sc >= 0
-                     ? distance(points_[p], centers_[static_cast<std::size_t>(sc)]) /
-                           influence_[static_cast<std::size_t>(sc)]
-                     : kInf;
-        epoch_[p] = cur;
+        lb_[slot] = sc >= 0 ? distance(p, centers_[static_cast<std::size_t>(sc)]) /
+                                  influence_[static_cast<std::size_t>(sc)]
+                            : kInf;
+        epoch_[slot] = cur;
     };
 
     TileLanes<D> lanes;
@@ -320,7 +338,7 @@ void AssignEngine<D>::batchKernel(Scratch& scratch, std::size_t m) {
                     continue;
                 }
                 if (w != j) {
-                    scratch.pointIdx[w] = scratch.pointIdx[j];
+                    scratch.slots[w] = scratch.slots[j];
                     for (int d = 0; d < D; ++d)
                         scratch.gx[static_cast<std::size_t>(d)][w] =
                             scratch.gx[static_cast<std::size_t>(d)][j];
@@ -338,12 +356,12 @@ void AssignEngine<D>::batchKernel(Scratch& scratch, std::size_t m) {
 }
 
 template <int D>
-void AssignEngine<D>::applyEpochs(std::size_t p, KMeansCounters& counters) {
+void AssignEngine<D>::applyEpochs(std::size_t slot, KMeansCounters& counters) {
     const std::uint32_t cur = currentEpoch();
-    std::uint32_t e = epoch_[p];
+    std::uint32_t e = epoch_[slot];
     if (e == cur) return;
-    const auto c = static_cast<std::size_t>(assignment_[p]);
-    double ub = ub_[p], lb = lb_[p];
+    const auto c = static_cast<std::size_t>(assignment_[slot]);
+    double ub = ub_[slot], lb = lb_[slot];
     counters.epochBoundApplications += cur - e;
     for (; e < cur; ++e) {
         const Epoch& ep = epochs_[e];
@@ -355,9 +373,9 @@ void AssignEngine<D>::applyEpochs(std::size_t p, KMeansCounters& counters) {
             lb *= ep.minRatio;
         }
     }
-    ub_[p] = ub;
-    lb_[p] = lb;
-    epoch_[p] = cur;
+    ub_[slot] = ub;
+    lb_[slot] = lb;
+    epoch_[slot] = cur;
 }
 
 template <int D>

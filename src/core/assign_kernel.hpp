@@ -21,9 +21,13 @@
 //      win for sampled initialization and warm-started repartitioning.
 //      Sequential replay applies the identical multiply/add per round the
 //      eager sweeps performed, so bound values are bitwise unchanged.
-//   3. Budgeted SoA mirror (core::PointStore) + cache-blocked batch kernel.
-//      setActive() hands the active order to a PointStore, which mirrors
-//      the points into per-dimension tile arrays under the byte budget of
+//   3. Slot-ordered state, budgeted SoA mirror (core::PointStore) and a
+//      cache-blocked batch kernel. The engine takes the active order once,
+//      at construction; slot s names point order[s] for the engine's whole
+//      lifetime, and every per-point array (assignment, ub, lb, epoch) is
+//      indexed by slot, not by point id. setActive(count) moves the end of
+//      the active prefix and hands it to a PointStore, which mirrors the
+//      points into per-dimension tile arrays under the byte budget of
 //      Settings::memoryBudgetBytes / GEO_MEM_BUDGET: unlimited keeps the
 //      whole set resident (one gather per setActive, as before); a finite
 //      budget materializes budget-sized waves of fixed 1024-point tiles,
@@ -32,8 +36,11 @@
 //      gathers the not-skipped points of each block into contiguous
 //      scratch, and folds the centers into it one at a time, in ascending
 //      (pruning key, id) order, tracking best and second best per lane.
-//      Weighted cluster sizes are accumulated per block and reduced in
-//      block order.
+//      A block's tile, bounds and sizes are one contiguous slot range, so
+//      a sampled (randomly ordered) sweep reads and writes its state
+//      sequentially and two workers share a cache line only at a block
+//      edge. Weighted cluster sizes are accumulated per block and reduced
+//      in block order.
 //   4. Intra-rank threading (Settings::threads) via par::parallelFor over
 //      whole blocks. Because block (and wave) boundaries are fixed and the
 //      block partials are reduced serially in ascending global block order
@@ -66,18 +73,19 @@ namespace geo::core {
 template <int D>
 class AssignEngine {
 public:
-    /// `points`/`weights` must outlive the engine (weights may be empty =
-    /// unit). `k` is the number of clusters.
+    /// `points`/`weights`/`order` must outlive the engine (weights may be
+    /// empty = unit). `order` lists point ids in active order: slot s is
+    /// point order[s] for the engine's whole lifetime, so it is referenced,
+    /// not copied, and must not change. `k` is the number of clusters.
     AssignEngine(std::span<const Point<D>> points, std::span<const double> weights,
-                 const Settings& settings, std::int32_t k);
+                 std::span<const std::size_t> order, const Settings& settings,
+                 std::int32_t k);
 
-    /// Declare the active prefix order[0..activeCount) — the PointStore
+    /// Declare the active prefix, slots [0, activeCount) — the PointStore
     /// recomputes the active bounding box and (budget permitting) mirrors
     /// the points. Called once per assignAndBalance (the active set only
-    /// changes between calls). `order` is referenced, not copied: a
-    /// budgeted store regenerates tiles from it on every sweep, so it must
-    /// stay valid and unchanged until the next setActive.
-    void setActive(std::span<const std::size_t> order, std::size_t activeCount);
+    /// changes between calls); only the end of the prefix moves.
+    void setActive(std::size_t activeCount);
 
     /// Bounding box of the active points (invalid when none are active).
     [[nodiscard]] const Box<D>& activeBox() const noexcept {
@@ -116,12 +124,10 @@ public:
     /// Forget all bounds (ub = ∞, lb = 0) and mark every point current.
     void resetBounds();
 
-    [[nodiscard]] std::span<const std::int32_t> assignment() const noexcept {
-        return assignment_;
-    }
-    [[nodiscard]] std::vector<std::int32_t> takeAssignment() noexcept {
-        return std::move(assignment_);
-    }
+    /// The partition by point id, one entry per point: an O(n) scatter of
+    /// the slot-indexed state through the order, −1 for every point whose
+    /// slot was never active.
+    [[nodiscard]] std::vector<std::int32_t> assignment() const;
     [[nodiscard]] const KMeansCounters& counters() const noexcept { return counters_; }
 
 private:
@@ -137,7 +143,7 @@ private:
     /// core::TileLanes; center ids travel as doubles, materialization
     /// narrows them).
     struct Scratch {
-        std::vector<std::size_t> pointIdx;  ///< global point id per gathered slot
+        std::vector<std::size_t> slots;  ///< active slot per gathered lane
         std::array<std::vector<double>, static_cast<std::size_t>(D)> gx;
         std::vector<double> best2, second2, bestC, secondC;
         KMeansCounters counters;
@@ -147,17 +153,19 @@ private:
                       std::size_t block, Scratch& scratch, double* blockSizes);
     void batchKernel(Scratch& scratch, std::size_t m);
     void recordStoreCounters();
-    void applyEpochs(std::size_t p, KMeansCounters& counters);
+    void applyEpochs(std::size_t slot, KMeansCounters& counters);
     [[nodiscard]] std::uint32_t currentEpoch() const noexcept {
         return static_cast<std::uint32_t>(epochs_.size());
     }
 
     std::span<const Point<D>> points_;
     std::span<const double> weights_;
+    std::span<const std::size_t> order_;
     const Settings& settings_;
     std::int32_t k_;
 
-    // Persistent per-point state (indexed by global point id).
+    // Persistent per-point state, indexed by active slot (slot s holds the
+    // state of point order_[s]); sized on the first setActive.
     std::vector<std::int32_t> assignment_;
     std::vector<double> ub_, lb_;
     std::vector<std::uint32_t> epoch_;

@@ -17,6 +17,19 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// The local active order: identity, or a random permutation for the
+/// sampled initialization (§4.5), whose growing prefix is the sample.
+std::vector<std::size_t> activeOrder(std::size_t n, const Settings& settings, int rank) {
+    std::vector<std::size_t> order(n);
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    if (settings.sampledInitialization) {
+        Xoshiro256 rng(settings.seed ^
+                       (0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(rank + 1)));
+        for (std::size_t i = n; i > 1; --i) std::swap(order[i - 1], order[rng.below(i)]);
+    }
+    return order;
+}
+
 template <int D>
 class BalancedKMeansRun {
 public:
@@ -29,7 +42,8 @@ public:
           settings_(settings),
           k_(static_cast<std::int32_t>(centers.size())),
           centers_(std::move(centers)),
-          engine_(points_, weights_, settings_, k_) {
+          order_(activeOrder(points.size(), settings, comm.rank())),
+          engine_(points_, weights_, order_, settings_, k_) {
         GEO_REQUIRE(k_ >= 1, "need at least one center");
         GEO_REQUIRE(weights_.empty() || weights_.size() == points_.size(),
                     "weights must be empty or match points");
@@ -74,14 +88,8 @@ public:
         influenceBefore_.resize(ks);
         freshCenters_.resize(ks);
 
-        // Random local permutation for the sampled initialization.
-        order_.resize(n);
-        std::iota(order_.begin(), order_.end(), std::size_t{0});
+        // The sampled initialization starts from a prefix of the order.
         if (settings_.sampledInitialization) {
-            Xoshiro256 rng(settings_.seed ^
-                           (0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(comm_.rank() + 1)));
-            for (std::size_t i = n; i > 1; --i)
-                std::swap(order_[i - 1], order_[rng.below(i)]);
             sampleSize_ = std::min<std::size_t>(
                 static_cast<std::size_t>(std::max(1, settings_.initialSampleSize)), n);
         } else {
@@ -190,7 +198,7 @@ public:
         }
 
         counters_.merge(engine_.counters());
-        out.assignment = engine_.takeAssignment();
+        out.assignment = engine_.assignment();
         out.centers = std::move(centers_);
         out.influence = std::move(influence_);
         out.assignmentInfluence = std::move(lastSweepInfluence_);
@@ -209,7 +217,7 @@ private:
         const Timer assignTimer;
         // Mirror the *active* local points into the engine's SoA arrays and
         // compute their bounding box (§4.4) — once per call, like the seed.
-        engine_.setActive(order_, sampleSize_);
+        engine_.setActive(sampleSize_);
 
         double imb = kInf;
         for (int round = 0; round < settings_.maxBalanceIterations; ++round) {
@@ -283,8 +291,8 @@ private:
     std::vector<double> targetShare_;
     std::vector<Point<D>> centers_;
     std::vector<double> influence_;
+    std::vector<std::size_t> order_;  ///< the engine's slot order; built before it
     AssignEngine<D> engine_;
-    std::vector<std::size_t> order_;
     std::size_t sampleSize_ = 0;
     Box<D> globalBox_ = Box<D>::empty();
     double clusterScale_ = 1.0;

@@ -65,7 +65,6 @@ void PointStore<D>::setActive(std::span<const std::size_t> order,
 
     if (resident_ && active_ > 0) {
         fill(0, active_, threads);
-        acc_.tileFills += (active_ + kTilePoints - 1) / kTilePoints;
         waveFilled_[0] = 1;
         loadedWave_ = 0;
     }
@@ -78,9 +77,7 @@ typename PointStore<D>::WaveView PointStore<D>::wave(std::size_t w, int threads)
     const std::size_t count = std::min(active_ - begin, wavePoints_);
     if (loadedWave_ != w) {
         fill(begin, count, threads);
-        const std::uint64_t tiles = (count + kTilePoints - 1) / kTilePoints;
-        acc_.tileFills += tiles;
-        if (waveFilled_[w] != 0) acc_.spilledTiles += tiles;
+        if (waveFilled_[w] != 0) acc_.spilledTiles += (count + kTilePoints - 1) / kTilePoints;
         waveFilled_[w] = 1;
         loadedWave_ = w;
     }

@@ -25,9 +25,9 @@
 // identical to the resident path at every budget and thread count.
 //
 // Accounting: residentBytes (tile storage currently allocated),
-// peakResidentBytes (its high-water mark), tileFills (every tile gather)
-// and spilledTiles (refills beyond each tile's first fill — the price of
-// running under budget). The engine surfaces these through KMeansCounters.
+// peakResidentBytes (its high-water mark) and spilledTiles (refills beyond
+// each tile's first fill — the price of running under budget). The engine
+// surfaces these through KMeansCounters.
 #pragma once
 
 #include <array>
@@ -65,8 +65,6 @@ public:
     void setActive(std::span<const std::size_t> order, std::size_t activeCount,
                    int threads);
 
-    /// The active order this store gathers through (what setActive kept).
-    [[nodiscard]] std::span<const std::size_t> ids() const noexcept { return order_; }
     [[nodiscard]] std::size_t activeCount() const noexcept { return active_; }
     [[nodiscard]] const Box<D>& activeBox() const noexcept { return box_; }
 
@@ -97,7 +95,6 @@ public:
     struct Accounting {
         std::uint64_t residentBytes = 0;      ///< tile storage currently held
         std::uint64_t peakResidentBytes = 0;  ///< high-water mark of the above
-        std::uint64_t tileFills = 0;          ///< tiles gathered, first fills included
         std::uint64_t spilledTiles = 0;       ///< refills beyond each tile's first fill
     };
     [[nodiscard]] const Accounting& accounting() const noexcept { return acc_; }

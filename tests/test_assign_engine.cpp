@@ -53,6 +53,28 @@ std::int32_t nearestCenter(const Point<D>& p, const std::vector<Point<D>>& cente
     return bestC;
 }
 
+/// Brute-force check of one sweep over the active prefix order[0, prefix):
+/// every active point holds its argmin, every other point −1, and the
+/// unit-weight sizes add up to the active count.
+template <int D>
+void expectPrefixMatchesBruteForce(const AssignEngine<D>& engine,
+                                   const std::vector<Point<D>>& points,
+                                   const std::vector<std::size_t>& order, std::size_t prefix,
+                                   const std::vector<Point<D>>& centers,
+                                   const std::vector<double>& influence,
+                                   const std::vector<double>& sizes) {
+    std::vector<char> active(points.size(), 0);
+    for (std::size_t s = 0; s < prefix; ++s) active[order[s]] = 1;
+    const auto assignment = engine.assignment();
+    ASSERT_EQ(assignment.size(), points.size());
+    for (std::size_t p = 0; p < points.size(); ++p) {
+        const std::int32_t want = active[p] ? nearestCenter(points[p], centers, influence) : -1;
+        ASSERT_EQ(assignment[p], want) << "prefix " << prefix << " point " << p;
+    }
+    EXPECT_EQ(std::accumulate(sizes.begin(), sizes.end(), 0.0), static_cast<double>(prefix))
+        << "prefix " << prefix;
+}
+
 /// Regression for the stale pruning-key bug: the seed guarded the pruning
 /// break on `centerKey_.size() == sortedCenters_.size()`, which stays true
 /// once keys have been computed in ANY earlier round. A later round whose
@@ -70,26 +92,84 @@ TEST(AssignEngine, StaleKeysAreNotConsultedWhenBoxIsInvalid) {
     Settings s;
     s.boundingBoxPruning = true;
     s.hamerlyBounds = true;
-    AssignEngine<2> engine(points, {}, s, 3);
+    const std::vector<std::size_t> order{0, 1};
+    AssignEngine<2> engine(points, {}, order, s, 3);
     std::vector<double> sizes(3, 0.0);
 
-    // Round 1: only p0 active; its box is far from every center, so the
-    // pruning keys are all large (key for center 2 ≈ 95²).
-    const std::vector<std::size_t> round1{0};
-    engine.setActive(round1, 1);
+    // Round 1: prefix 1, only p0 active; its box is far from every center,
+    // so the pruning keys are all large (key for center 2 ≈ 95²).
+    engine.setActive(1);
     engine.beginRound(centers, influence, engine.activeBox());
     engine.sweep(sizes);
 
-    // Round 2: only p1 active, but the caller supplies an *invalid* box
-    // (the state of a rank with no active points). With stale keys the
-    // identity-order scan would fold centers 0 and 1 (eff dist² 25 and
-    // 24.01), see stale key[2] ≈ 95² > second ≈ 25, retire the lane and
-    // wrongly assign p1 to center 1. Fresh guard: no keys, full scan.
-    const std::vector<std::size_t> round2{1};
-    engine.setActive(round2, 1);
+    // Round 2: prefix 2, but the caller supplies an *invalid* box (the
+    // state of a rank with no active points). p0's bounds skip it (ub 95 <
+    // lb 99.9). With stale keys the identity-order scan would fold centers
+    // 0 and 1 for p1 (eff dist² 25 and 24.01), see stale key[2] ≈ 95² >
+    // second ≈ 25, retire the lane and wrongly assign p1 to center 1.
+    // Fresh guard: no keys, full scan.
+    engine.setActive(2);
     engine.beginRound(centers, influence, Box2::empty());
     engine.sweep(sizes);
     EXPECT_EQ(engine.assignment()[1], 2) << "the engine consulted stale keys";
+}
+
+/// Every other engine test runs the identity order, where slot and point
+/// id coincide. A sampled run walks a random permutation whose prefix
+/// grows between calls, with lazy epochs replayed on slots that were last
+/// touched under a shorter prefix: the slot-indexed state must still map
+/// back to the right points.
+TEST(AssignEngine, ShuffledGrowingPrefixMatchesBruteForce) {
+    const auto points = randomPoints<2>(9000, 307);
+    std::vector<std::size_t> order = identityOrder(points.size());
+    Xoshiro256 shuffle(311);
+    for (std::size_t i = order.size(); i > 1; --i) std::swap(order[i - 1], order[shuffle.below(i)]);
+
+    for (const bool kdTree : {false, true}) {
+        for (const int threads : {1, 3}) {
+            SCOPED_TRACE(::testing::Message() << "kdTree=" << kdTree << " threads=" << threads);
+            auto centers = randomPoints<2>(16, 313);
+            std::vector<double> influence(16, 1.0);
+            Settings s;
+            s.useKdTree = kdTree;
+            s.threads = threads;
+            AssignEngine<2> engine(points, {}, order, s, 16);
+            std::vector<double> sizes(16, 0.0);
+            Xoshiro256 rng(317);
+            for (const std::size_t prefix : {std::size_t{1000}, std::size_t{2000},
+                                             std::size_t{4000}, points.size()}) {
+                engine.setActive(prefix);
+                engine.beginRound(centers, influence, engine.activeBox());
+                engine.sweep(sizes);
+                expectPrefixMatchesBruteForce(engine, points, order, prefix, centers,
+                                              influence, sizes);
+
+                // Between rounds: one influence epoch, then one move epoch
+                // (centers shift, influence erodes), both replayed lazily.
+                std::vector<double> ratio(16), shift(16);
+                for (std::size_t c = 0; c < 16; ++c) {
+                    const double before = influence[c];
+                    influence[c] *= rng.uniform(0.96, 1.04);
+                    ratio[c] = before / influence[c];
+                }
+                engine.pushInfluenceEpoch(ratio);
+                for (std::size_t c = 0; c < 16; ++c) {
+                    Point2 moved = centers[c];
+                    moved[0] += rng.uniform(-0.01, 0.01);
+                    moved[1] += rng.uniform(-0.01, 0.01);
+                    const double delta = distance(moved, centers[c]);
+                    centers[c] = moved;
+                    const double before = influence[c];
+                    influence[c] *= rng.uniform(0.98, 1.02);
+                    ratio[c] = before / influence[c];
+                    shift[c] = delta / influence[c];
+                }
+                engine.pushMoveEpoch(ratio, shift);
+            }
+            EXPECT_GT(engine.counters().boundSkips, 0u);
+            EXPECT_GT(engine.counters().epochBoundApplications, 0u);
+        }
+    }
 }
 
 class EngineModeSweep : public ::testing::TestWithParam<std::tuple<bool, int>> {};
@@ -109,14 +189,15 @@ TEST_P(EngineModeSweep, SingleSweepMatchesBruteForce) {
     Settings s;
     s.useKdTree = kdTree;
     s.threads = threads;
-    AssignEngine<2> engine(points, {}, s, 23);
     const auto order = identityOrder(points.size());
-    engine.setActive(order, points.size());
+    AssignEngine<2> engine(points, {}, order, s, 23);
+    engine.setActive(points.size());
     engine.beginRound(centers, influence, engine.activeBox());
     std::vector<double> sizes(23, 0.0);
     engine.sweep(sizes);
+    const auto assignment = engine.assignment();
     for (std::size_t p = 0; p < points.size(); ++p)
-        ASSERT_EQ(engine.assignment()[p], nearestCenter(points[p], centers, influence))
+        ASSERT_EQ(assignment[p], nearestCenter(points[p], centers, influence))
             << "point " << p;
     EXPECT_EQ(std::accumulate(sizes.begin(), sizes.end(), 0.0),
               static_cast<double>(points.size()));
@@ -127,9 +208,9 @@ TEST(AssignEngine, LazyEpochBoundsSkipButNeverMisassign) {
     auto centers = randomPoints<2>(12, 233);
     std::vector<double> influence(12, 1.0);
     Settings s;
-    AssignEngine<2> engine(points, {}, s, 12);
     const auto order = identityOrder(points.size());
-    engine.setActive(order, points.size());
+    AssignEngine<2> engine(points, {}, order, s, 12);
+    engine.setActive(points.size());
     std::vector<double> sizes(12, 0.0);
     engine.beginRound(centers, influence, engine.activeBox());
     engine.sweep(sizes);
@@ -149,9 +230,9 @@ TEST(AssignEngine, LazyEpochBoundsSkipButNeverMisassign) {
         engine.pushInfluenceEpoch(ratio);
         engine.beginRound(centers, influence, engine.activeBox());
         engine.sweep(sizes);
+        const auto assignment = engine.assignment();
         for (std::size_t p = 0; p < points.size(); ++p)
-            ASSERT_EQ(engine.assignment()[p],
-                      nearestCenter(points[p], centers, influence))
+            ASSERT_EQ(assignment[p], nearestCenter(points[p], centers, influence))
                 << "step " << step << " point " << p;
     }
     EXPECT_GT(engine.counters().boundSkips, 0u);
@@ -167,9 +248,9 @@ TEST(AssignEngine, MoveEpochKeepsBoundsConservative) {
     auto centers = randomPoints<2>(10, 251);
     std::vector<double> influence(10, 1.0);
     Settings s;
-    AssignEngine<2> engine(points, {}, s, 10);
     const auto order = identityOrder(points.size());
-    engine.setActive(order, points.size());
+    AssignEngine<2> engine(points, {}, order, s, 10);
+    engine.setActive(points.size());
     std::vector<double> sizes(10, 0.0);
     engine.beginRound(centers, influence, engine.activeBox());
     engine.sweep(sizes);
@@ -192,8 +273,9 @@ TEST(AssignEngine, MoveEpochKeepsBoundsConservative) {
     engine.pushMoveEpoch(ratio, shift);
     engine.beginRound(centers, influence, engine.activeBox());
     engine.sweep(sizes);
+    const auto assignment = engine.assignment();
     for (std::size_t p = 0; p < points.size(); ++p)
-        ASSERT_EQ(engine.assignment()[p], nearestCenter(points[p], centers, influence))
+        ASSERT_EQ(assignment[p], nearestCenter(points[p], centers, influence))
             << "point " << p;
 }
 
@@ -213,13 +295,13 @@ TEST(AssignEngine, ThreadCountNeverChangesSizesBitwise) {
     for (const int threads : {1, 2, 3, 4}) {
         Settings s;
         s.threads = threads;
-        AssignEngine<2> engine(points, weights, s, 16);
         const auto order = identityOrder(points.size());
-    engine.setActive(order, points.size());
+        AssignEngine<2> engine(points, weights, order, s, 16);
+        engine.setActive(points.size());
         engine.beginRound(centers, influence, engine.activeBox());
         std::vector<double> sizes(16, 0.0);
         engine.sweep(sizes);
-        const auto assign = engine.takeAssignment();
+        const auto assign = engine.assignment();
         if (threads == 1) {
             want = sizes;
             wantAssign = assign;
@@ -235,9 +317,9 @@ TEST(AssignEngine, ZeroActivePointsIsANoop) {
     const auto centers = randomPoints<2>(3, 281);
     const std::vector<double> influence(3, 1.0);
     Settings s;
-    AssignEngine<2> engine(points, {}, s, 3);
     const auto order = identityOrder(points.size());
-    engine.setActive(order, 0);
+    AssignEngine<2> engine(points, {}, order, s, 3);
+    engine.setActive(0);
     EXPECT_FALSE(engine.activeBox().valid());
     engine.beginRound(centers, influence, engine.activeBox());
     std::vector<double> sizes(3, 1.0);
@@ -250,9 +332,9 @@ TEST(AssignEngine, BatchKernelCountsBatchedDistances) {
     const auto centers = randomPoints<2>(8, 293);
     const std::vector<double> influence(8, 1.0);
     Settings s;
-    AssignEngine<2> engine(points, {}, s, 8);
     const auto order = identityOrder(points.size());
-    engine.setActive(order, points.size());
+    AssignEngine<2> engine(points, {}, order, s, 8);
+    engine.setActive(points.size());
     engine.beginRound(centers, influence, engine.activeBox());
     std::vector<double> sizes(8, 0.0);
     engine.sweep(sizes);

@@ -472,12 +472,13 @@ TEST(ServeSnapshot, EngineAndSnapshotBreakExactTiesTheSameWay) {
                 std::span<const Point2>(centers), influence);
             ASSERT_EQ(snap.blockOf(points[2]), i);
 
-            geo::core::AssignEngine<2> engine(points, {}, settings, k);
-            engine.setActive(order, order.size());
+            geo::core::AssignEngine<2> engine(points, {}, order, settings, k);
+            engine.setActive(order.size());
             engine.beginRound(centers, influence, engine.activeBox());
             std::vector<double> sizes(k, 0.0);
             engine.sweep(sizes);
-            if (engine.assignment()[2] != i) ++disagreements;
+            const auto assignment = engine.assignment();
+            if (assignment[2] != i) ++disagreements;
         }
     }
     EXPECT_EQ(disagreements, 0) << "of " << k * (k - 1) / 2 << " tied pairs";
