@@ -2,14 +2,13 @@
 
 #include <algorithm>
 #include <array>
-#include <mutex>
+#include <vector>
 
 #include "geometry/box.hpp"
 #include "par/parallel_for.hpp"
 #include "par/sort.hpp"
 #include "sfc/hilbert.hpp"
 #include "support/assert.hpp"
-#include "support/binio.hpp"
 #include "support/timer.hpp"
 
 namespace geo::core {
@@ -33,7 +32,7 @@ struct CenterSeed {
 template <int D>
 void spmdBody(par::Comm& comm, std::span<const Point<D>> points,
               std::span<const double> weights, std::int32_t k, const Settings& settings,
-              GeographerResult& result, std::mutex& resultMutex) {
+              GeographerResult& result) {
     using Rec = par::KeyedRecord<std::uint64_t, PointRecord<D>>;
     const auto n = static_cast<std::int64_t>(points.size());
     const int p = comm.size();
@@ -48,8 +47,6 @@ void spmdBody(par::Comm& comm, std::span<const Point<D>> points,
     const auto localCountIn = static_cast<std::size_t>(hi - lo);
     const auto localPoints = points.subspan(static_cast<std::size_t>(lo), localCountIn);
     const int threads = settings.resolvedThreads();
-
-    PhaseTimer phases;
 
     // Phase 1: curve keys for the local slice (threaded bounds pass, global
     // bounding box via allreduce, threaded batch keying).
@@ -98,14 +95,14 @@ void spmdBody(par::Comm& comm, std::span<const Point<D>> points,
             }
         });
     const std::uint64_t keyedPoints = localCountIn;
-    phases.add("hilbert", t1.seconds());
+    const double hilbertSeconds = t1.seconds();
 
     // Phase 2: global sort by curve index + equalizing redistribution.
     Timer t2;
     records = par::sampleSort(comm, std::move(records), /*oversampling=*/16, threads);
     records = par::rebalanceSorted(comm, std::move(records));
     const auto sortedRecords = static_cast<std::uint64_t>(records.size());
-    phases.add("redistribute", t2.seconds());
+    const double redistributeSeconds = t2.seconds();
 
     // Phase 3 + 4: curve seeding and balanced k-means.
     Timer t3;
@@ -150,16 +147,12 @@ void spmdBody(par::Comm& comm, std::span<const Point<D>> points,
         balancedKMeans<D>(comm, localKmeansPoints, localWeights, std::move(centers), settings);
     outcome.counters.keyedPoints = keyedPoints;
     outcome.counters.sortedRecords = sortedRecords;
-    phases.add("kmeans", t3.seconds());
-    // Sub-phases of k-means, for the thread-scaling breakdown.
-    phases.add("assign", outcome.assignSeconds);
-    phases.add("update", outcome.updateSeconds);
+    const double kmeansSeconds = t3.seconds();
 
-    // Snapshot the pipeline cost before the diagnostic result gather: this
-    // is what the paper's running-time measurements cover.
+    // Snapshot the pipeline cost before the closing result collectives:
+    // this is what the paper's running-time measurements cover.
     const double pipelineScore = (comm.cpuSeconds() - cpuStart) +
                                  (comm.stats().modeledCommSeconds - commStart);
-    const double pipelineMax = comm.allreduceMax(pipelineScore);
 
     // Collect the global partition (by original input order).
     struct GidBlock {
@@ -171,29 +164,21 @@ void spmdBody(par::Comm& comm, std::span<const Point<D>> points,
     for (std::size_t i = 0; i < localGids.size(); ++i)
         mine.push_back(GidBlock{localGids[i], outcome.assignment[i]});
     const auto all = comm.allgatherv(std::span<const GidBlock>(mine));
-
-    // Reduce diagnostics: max phase time, summed counters + k-means state.
-    std::array<double, 5> phaseMax{phases.get("hilbert"), phases.get("redistribute"),
-                                   phases.get("kmeans"), phases.get("assign"),
-                                   phases.get("update")};
-    comm.allreduceMax(std::span<double>(phaseMax.data(), phaseMax.size()));
-    detail::storeKMeansDiagnostics<D>(comm, outcome, result, resultMutex);
-
-    if (comm.isRoot()) {
-        const std::lock_guard<std::mutex> lock(resultMutex);
+    if (detail::ownsResult(comm)) {
         result.partition.assign(static_cast<std::size_t>(n), -1);
         for (const auto& gb : all)
             result.partition[static_cast<std::size_t>(gb.gid)] = gb.block;
-        result.phaseSeconds["hilbert"] = phaseMax[0];
-        result.phaseSeconds["redistribute"] = phaseMax[1];
-        result.phaseSeconds["kmeans"] = phaseMax[2];
-        result.phaseSeconds["assign"] = phaseMax[3];
-        result.phaseSeconds["update"] = phaseMax[4];
-        result.modeledSeconds = pipelineMax;
     }
-    // Cross-process runs have no shared result object: hand every rank the
-    // root's assembled copy (no-op on the simulator).
-    detail::replicateResult(comm, result, resultMutex);
+    // Built last: its nodes outlive the call in the result, and allocated
+    // before the phases' large temporaries they fragment the heap (~20 MB
+    // more resident memory in the serve-churn benchmark). "assign" and
+    // "update" are the k-means sub-phases, for the thread-scaling breakdown.
+    std::map<std::string, double> phases{{"hilbert", hilbertSeconds},
+                                         {"redistribute", redistributeSeconds},
+                                         {"kmeans", kmeansSeconds},
+                                         {"assign", outcome.assignSeconds},
+                                         {"update", outcome.updateSeconds}};
+    detail::finishRun<D>(comm, outcome, std::move(phases), pipelineScore, result);
 }
 
 }  // namespace
@@ -201,38 +186,33 @@ void spmdBody(par::Comm& comm, std::span<const Point<D>> points,
 namespace detail {
 
 template <int D>
-void storeKMeansDiagnostics(par::Comm& comm, const KMeansOutcome<D>& outcome,
-                            GeographerResult& result, std::mutex& resultMutex) {
-    std::array<std::uint64_t, 10> counterSum{
-        outcome.counters.pointEvaluations, outcome.counters.boundSkips,
-        outcome.counters.distanceCalcs, outcome.counters.bboxBreaks,
-        outcome.counters.balanceIterations, outcome.counters.epochBoundApplications,
-        outcome.counters.batchedDistanceCalcs, outcome.counters.keyedPoints,
-        outcome.counters.sortedRecords, outcome.counters.spilledTiles};
-    comm.allreduceSum(std::span<std::uint64_t>(counterSum.data(), counterSum.size()));
-    // Memory counters describe one rank's tile store, so the cross-rank
-    // reduction is a max (the worst store), not a sum.
-    std::array<std::uint64_t, 2> counterMax{outcome.counters.peakTileBytes,
-                                            outcome.counters.residentBytes};
-    comm.allreduceMax(std::span<std::uint64_t>(counterMax.data(), counterMax.size()));
+void finishRun(par::Comm& comm, const KMeansOutcome<D>& outcome,
+               std::map<std::string, double> phases, double pipelineScore,
+               GeographerResult& result) {
+    std::vector<double> seconds{pipelineScore};
+    for (const auto& phase : phases) seconds.push_back(phase.second);
+    std::array<std::uint64_t, kSummedCounters.size()> sums;
+    for (std::size_t i = 0; i < sums.size(); ++i)
+        sums[i] = outcome.counters.*kSummedCounters[i];
+    std::array<std::uint64_t, kMaxedCounters.size()> maxima;
+    for (std::size_t i = 0; i < maxima.size(); ++i)
+        maxima[i] = outcome.counters.*kMaxedCounters[i];
+    comm.allreduceMax(std::span<double>(seconds));
+    comm.allreduceSum(std::span<std::uint64_t>(sums));
+    comm.allreduceMax(std::span<std::uint64_t>(maxima));
+    if (!ownsResult(comm)) return;
 
-    if (!comm.isRoot()) return;
-    const std::lock_guard<std::mutex> lock(resultMutex);
+    result.modeledSeconds = seconds[0];
+    auto next = seconds.begin() + 1;
+    for (auto& phase : phases) phase.second = *next++;
+    result.phaseSeconds = std::move(phases);
+    for (std::size_t i = 0; i < sums.size(); ++i)
+        result.counters.*kSummedCounters[i] = sums[i];
+    for (std::size_t i = 0; i < maxima.size(); ++i)
+        result.counters.*kMaxedCounters[i] = maxima[i];
+    result.counters.outerIterations = outcome.counters.outerIterations;
     result.imbalance = outcome.imbalance;
     result.converged = outcome.converged;
-    result.counters.pointEvaluations = counterSum[0];
-    result.counters.boundSkips = counterSum[1];
-    result.counters.distanceCalcs = counterSum[2];
-    result.counters.bboxBreaks = counterSum[3];
-    result.counters.balanceIterations = counterSum[4];
-    result.counters.epochBoundApplications = counterSum[5];
-    result.counters.batchedDistanceCalcs = counterSum[6];
-    result.counters.keyedPoints = counterSum[7];
-    result.counters.sortedRecords = counterSum[8];
-    result.counters.spilledTiles = counterSum[9];
-    result.counters.peakTileBytes = counterMax[0];
-    result.counters.residentBytes = counterMax[1];
-    result.counters.outerIterations = outcome.counters.outerIterations;
     const auto k = outcome.centers.size();
     result.centerCoords.resize(k * D);
     for (std::size_t c = 0; c < k; ++c)
@@ -243,96 +223,10 @@ void storeKMeansDiagnostics(par::Comm& comm, const KMeansOutcome<D>& outcome,
     result.assignmentInfluence = outcome.assignmentInfluence;
 }
 
-template void storeKMeansDiagnostics<2>(par::Comm&, const KMeansOutcome<2>&,
-                                        GeographerResult&, std::mutex&);
-template void storeKMeansDiagnostics<3>(par::Comm&, const KMeansOutcome<3>&,
-                                        GeographerResult&, std::mutex&);
-
-void replicateResult(par::Comm& comm, GeographerResult& result,
-                     std::mutex& resultMutex) {
-    if (!comm.crossProcess() || comm.size() == 1) return;
-    par::Transport& transport = comm.transport();
-
-    if (comm.isRoot()) {
-        binio::Writer w;
-        {
-            const std::lock_guard<std::mutex> lock(resultMutex);
-            w.u64(result.partition.size());
-            w.vec(result.partition);
-            w.f64(result.imbalance);
-            w.u8(result.converged ? 1 : 0);
-            w.u64(result.counters.pointEvaluations);
-            w.u64(result.counters.boundSkips);
-            w.u64(result.counters.distanceCalcs);
-            w.u64(result.counters.bboxBreaks);
-            w.u64(result.counters.balanceIterations);
-            w.u64(result.counters.epochBoundApplications);
-            w.u64(result.counters.batchedDistanceCalcs);
-            w.u64(result.counters.keyedPoints);
-            w.u64(result.counters.sortedRecords);
-            w.u64(result.counters.peakTileBytes);
-            w.u64(result.counters.residentBytes);
-            w.u64(result.counters.spilledTiles);
-            w.i32(result.counters.outerIterations);
-            w.f64(result.modeledSeconds);
-            w.u32(static_cast<std::uint32_t>(result.phaseSeconds.size()));
-            for (const auto& [name, seconds] : result.phaseSeconds) {
-                w.u32(static_cast<std::uint32_t>(name.size()));
-                w.bytes(name.data(), name.size());
-                w.f64(seconds);
-            }
-            w.u64(result.centerCoords.size());
-            w.vec(result.centerCoords);
-            w.u64(result.influence.size());
-            w.vec(result.influence);
-            w.u64(result.assignmentInfluence.size());
-            w.vec(result.assignmentInfluence);
-        }
-        std::uint64_t bytes = w.size();
-        transport.broadcast(&bytes, sizeof(bytes), 0);
-        transport.broadcast(const_cast<std::byte*>(w.buffer().data()), w.size(), 0);
-        return;
-    }
-
-    std::uint64_t bytes = 0;
-    transport.broadcast(&bytes, sizeof(bytes), 0);
-    std::vector<std::byte> payload(static_cast<std::size_t>(bytes));
-    transport.broadcast(payload.data(), payload.size(), 0);
-
-    binio::Reader r(payload);
-    const std::lock_guard<std::mutex> lock(resultMutex);
-    result.partition = r.vec<graph::Partition::value_type>(
-        static_cast<std::size_t>(r.u64()));
-    result.imbalance = r.f64();
-    result.converged = r.u8() != 0;
-    result.counters.pointEvaluations = r.u64();
-    result.counters.boundSkips = r.u64();
-    result.counters.distanceCalcs = r.u64();
-    result.counters.bboxBreaks = r.u64();
-    result.counters.balanceIterations = r.u64();
-    result.counters.epochBoundApplications = r.u64();
-    result.counters.batchedDistanceCalcs = r.u64();
-    result.counters.keyedPoints = r.u64();
-    result.counters.sortedRecords = r.u64();
-    result.counters.peakTileBytes = r.u64();
-    result.counters.residentBytes = r.u64();
-    result.counters.spilledTiles = r.u64();
-    result.counters.outerIterations = r.i32();
-    result.modeledSeconds = r.f64();
-    const std::uint32_t phases = r.u32();
-    result.phaseSeconds.clear();
-    for (std::uint32_t i = 0; i < phases; ++i) {
-        const std::uint32_t len = r.u32();
-        const auto nameBytes = r.bytes(len);
-        std::string name(reinterpret_cast<const char*>(nameBytes.data()),
-                         nameBytes.size());
-        result.phaseSeconds[name] = r.f64();
-    }
-    result.centerCoords = r.vec<double>(static_cast<std::size_t>(r.u64()));
-    result.influence = r.vec<double>(static_cast<std::size_t>(r.u64()));
-    result.assignmentInfluence = r.vec<double>(static_cast<std::size_t>(r.u64()));
-    r.expectEnd("replicated result");
-}
+template void finishRun<2>(par::Comm&, const KMeansOutcome<2>&,
+                           std::map<std::string, double>, double, GeographerResult&);
+template void finishRun<3>(par::Comm&, const KMeansOutcome<3>&,
+                           std::map<std::string, double>, double, GeographerResult&);
 
 }  // namespace detail
 
@@ -349,14 +243,13 @@ GeographerResult partitionGeographer(std::span<const Point<D>> points,
                 "weights must be empty or match points");
 
     GeographerResult result;
-    std::mutex resultMutex;
     par::Machine machine(ranks, model, settings.resolvedTransport());
     result.runStats = machine.run([&](par::Comm& comm) {
-        spmdBody<D>(comm, points, weights, k, settings, result, resultMutex);
+        spmdBody<D>(comm, points, weights, k, settings, result);
     });
 
     for (const auto b : result.partition)
-        GEO_CHECK(b >= 0, "every point must be assigned a block");
+        GEO_CHECK(b >= 0 && b < k, "every point must be assigned a block");
     return result;
 }
 

@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <string>
 
 #include "core/balanced_kmeans.hpp"
@@ -27,18 +26,19 @@ struct GeographerResult {
     graph::Partition partition;
     double imbalance = 0.0;
     bool converged = false;
-    /// Loop counters summed over all ranks.
+    /// Loop counters over all ranks: the kSummedCounters summed, the
+    /// kMaxedCounters store marks maxed (the worst rank's store).
     KMeansCounters counters;
     /// Per-phase wall time, max over ranks: "hilbert", "redistribute",
     /// "kmeans", plus the k-means sub-phases "assign" (assignment sweeps)
     /// and "update" (center-update reductions).
     std::map<std::string, double> phaseSeconds;
     /// Aggregate runtime statistics of the SPMD run (modeled comm time,
-    /// bytes, per-rank CPU time). Includes the diagnostic result gather.
+    /// bytes, per-rank CPU time). Includes the closing result collectives.
     par::RunStats runStats;
     /// Modeled parallel time of the partitioning pipeline alone (max-rank
-    /// CPU + modeled comm up to the end of k-means, excluding the
-    /// diagnostic gather) — the number comparable to the paper's timings.
+    /// CPU + modeled comm up to the end of k-means, excluding the closing
+    /// result collectives) — the number comparable to the paper's timings.
     double modeledSeconds = 0.0;
     /// Final replicated k-means centers, flattened row-major (k × D) so the
     /// result type stays dimension-agnostic. Together with `influence` this
@@ -86,29 +86,35 @@ extern template GeographerResult partitionGeographer<3>(std::span<const Point3>,
 
 namespace detail {
 
-/// Reduce a rank-local k-means outcome into `result` (root only, guarded by
-/// `resultMutex`): summed loop counters, imbalance, convergence flag, and
-/// the flattened warm-start state (row-major centers, influence).
-/// Collective — every rank must enter it at the same point. Shared by the
-/// cold pipeline here and the warm path in src/repart.
+/// Whether this rank fills the GeographerResult of its SPMD run. On the
+/// simulator all rank threads share one result object and rank 0 alone
+/// writes it (no lock: the other threads never touch it); on a
+/// cross-process transport every process owns a private result and fills
+/// its own copy.
+[[nodiscard]] inline bool ownsResult(const par::Comm& comm) noexcept {
+    return comm.isRoot() || comm.crossProcess();
+}
+
+/// The closing collective of both SPMD bodies (the cold pipeline here and
+/// the warm path in src/repart). Three reductions, in this order: max over
+/// [pipelineScore, phase seconds in map-key order], the sum of the
+/// kSummedCounters and the max of the kMaxedCounters. Every other field it
+/// stores is already replicated in `outcome`. On ranks that own the result
+/// it then sets modeledSeconds, phaseSeconds, counters, imbalance,
+/// converged, centerCoords, influence and assignmentInfluence; the
+/// partition gather stays with the caller. Every rank must enter it at the
+/// same point, with the same phase names.
 template <int D>
-void storeKMeansDiagnostics(par::Comm& comm, const KMeansOutcome<D>& outcome,
-                            GeographerResult& result, std::mutex& resultMutex);
+void finishRun(par::Comm& comm, const KMeansOutcome<D>& outcome,
+               std::map<std::string, double> phases, double pipelineScore,
+               GeographerResult& result);
 
-extern template void storeKMeansDiagnostics<2>(par::Comm&, const KMeansOutcome<2>&,
-                                               GeographerResult&, std::mutex&);
-extern template void storeKMeansDiagnostics<3>(par::Comm&, const KMeansOutcome<3>&,
-                                               GeographerResult&, std::mutex&);
-
-/// Replicate the root-assembled GeographerResult to every rank. On the
-/// shared-memory simulator all ranks already see the one result object and
-/// this is a no-op; on a cross-process transport the root serializes the
-/// result and broadcasts it over RAW transport calls — bookkeeping, not
-/// algorithm communication, so it never touches CommStats and stats stay
-/// comparable across backends. Collective: every rank must call it at the
-/// same point (both SPMD bodies do, as their last step).
-void replicateResult(par::Comm& comm, GeographerResult& result,
-                     std::mutex& resultMutex);
+extern template void finishRun<2>(par::Comm&, const KMeansOutcome<2>&,
+                                  std::map<std::string, double>, double,
+                                  GeographerResult&);
+extern template void finishRun<3>(par::Comm&, const KMeansOutcome<3>&,
+                                  std::map<std::string, double>, double,
+                                  GeographerResult&);
 
 }  // namespace detail
 

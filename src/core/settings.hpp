@@ -7,6 +7,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -163,23 +164,32 @@ struct KMeansCounters {
                    : static_cast<double>(boundSkips) / static_cast<double>(pointEvaluations);
     }
 
-    void merge(const KMeansCounters& o) noexcept {
-        pointEvaluations += o.pointEvaluations;
-        boundSkips += o.boundSkips;
-        distanceCalcs += o.distanceCalcs;
-        bboxBreaks += o.bboxBreaks;
-        balanceIterations += o.balanceIterations;
-        epochBoundApplications += o.epochBoundApplications;
-        batchedDistanceCalcs += o.batchedDistanceCalcs;
-        keyedPoints += o.keyedPoints;
-        sortedRecords += o.sortedRecords;
-        // Memory counters: peaks/resident take the max (they describe one
-        // store's high-water mark, not additive work), spills accumulate.
-        peakTileBytes = std::max(peakTileBytes, o.peakTileBytes);
-        residentBytes = std::max(residentBytes, o.residentBytes);
-        spilledTiles += o.spilledTiles;
-        outerIterations = std::max(outerIterations, o.outerIterations);
-    }
+    /// Sum the work counters of kSummedCounters, max those of
+    /// kMaxedCounters and outerIterations.
+    void merge(const KMeansCounters& o) noexcept;
 };
+
+/// The one list of counter fields: every reduction, merge and dump loops
+/// over these two tables. Work counters add up across ranks and calls.
+inline constexpr std::array<std::uint64_t KMeansCounters::*, 10> kSummedCounters{
+    &KMeansCounters::pointEvaluations, &KMeansCounters::boundSkips,
+    &KMeansCounters::distanceCalcs, &KMeansCounters::bboxBreaks,
+    &KMeansCounters::balanceIterations, &KMeansCounters::epochBoundApplications,
+    &KMeansCounters::batchedDistanceCalcs, &KMeansCounters::keyedPoints,
+    &KMeansCounters::sortedRecords, &KMeansCounters::spilledTiles};
+/// Memory counters describe one store's high-water mark, so they take the
+/// max (the worst store), not the sum.
+inline constexpr std::array<std::uint64_t KMeansCounters::*, 2> kMaxedCounters{
+    &KMeansCounters::peakTileBytes, &KMeansCounters::residentBytes};
+// A uint64_t counter missing from both tables fails here (the trailing slot
+// is outerIterations, padded to 8 bytes).
+static_assert(sizeof(KMeansCounters) ==
+              sizeof(std::uint64_t) * (kSummedCounters.size() + kMaxedCounters.size() + 1));
+
+inline void KMeansCounters::merge(const KMeansCounters& o) noexcept {
+    for (const auto field : kSummedCounters) this->*field += o.*field;
+    for (const auto field : kMaxedCounters) this->*field = std::max(this->*field, o.*field);
+    outerIterations = std::max(outerIterations, o.outerIterations);
+}
 
 }  // namespace geo::core

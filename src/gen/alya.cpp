@@ -51,14 +51,6 @@ void buildTree(std::vector<Segment>& out, Xoshiro256& rng, const Point3& start,
     }
 }
 
-double pointSegmentDistance(const Point3& p, const Segment& s) {
-    const Point3 ab = s.b - s.a;
-    const double len2 = dot(ab, ab);
-    double t = len2 > 0 ? dot(p - s.a, ab) / len2 : 0.0;
-    t = std::clamp(t, 0.0, 1.0);
-    return distance(p, s.a + ab * t);
-}
-
 }  // namespace
 
 Mesh3 alya3d(std::int64_t n, int depth, std::uint64_t seed) {

@@ -61,13 +61,6 @@ struct CommStats {
     std::uint64_t bytesReceived = 0;
     std::uint64_t collectives = 0;
     double modeledCommSeconds = 0.0;
-
-    void merge(const CommStats& o) noexcept {
-        bytesSent += o.bytesSent;
-        bytesReceived += o.bytesReceived;
-        collectives += o.collectives;
-        modeledCommSeconds += o.modeledCommSeconds;
-    }
 };
 
 /// Aggregate over all ranks of one SPMD run.
@@ -99,13 +92,10 @@ public:
     [[nodiscard]] int rank() const noexcept { return transport_->rank(); }
     [[nodiscard]] int size() const noexcept { return transport_->size(); }
     [[nodiscard]] bool isRoot() const noexcept { return rank() == 0; }
-    [[nodiscard]] const CostModel& costModel() const noexcept { return *cost_; }
 
-    /// The byte engine underneath — entry points use crossProcess() to
-    /// decide whether root-assembled results must be replicated, and raw
-    /// transport calls to move data WITHOUT touching the stats (so
-    /// bookkeeping traffic never skews backend-comparable reports).
-    [[nodiscard]] Transport& transport() const noexcept { return *transport_; }
+    /// True when every rank is its own process (no shared memory between
+    /// ranks): entry points then fill a result object on every rank instead
+    /// of on the root alone.
     [[nodiscard]] bool crossProcess() const noexcept { return transport_->crossProcess(); }
 
     void barrier() { transport_->barrier(); }
@@ -212,14 +202,6 @@ public:
         const std::size_t total = static_cast<std::size_t>(size()) * sizeof(T);
         account(sizeof(T), total - sizeof(T), cost_->allgather(size(), total));
         return v;
-    }
-
-    /// Record non-collective communication performed through shared memory
-    /// (e.g. the SpMV halo exchange) in the stats and cost model.
-    void accountNeighborExchange(int neighbors, std::size_t sentBytes,
-                                 std::size_t recvBytes) {
-        account(sentBytes, recvBytes,
-                cost_->neighborExchange(size(), neighbors, sentBytes + recvBytes));
     }
 
     [[nodiscard]] const CommStats& stats() const noexcept { return *stats_; }

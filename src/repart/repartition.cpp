@@ -1,10 +1,10 @@
 #include "repart/repartition.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <limits>
-#include <mutex>
+#include <map>
+#include <string>
 
 #include "core/balanced_kmeans.hpp"
 #include "geometry/box.hpp"
@@ -105,8 +105,7 @@ double probeDrift(std::span<const Point<D>> points, std::span<const double> weig
 template <int D>
 void warmBody(par::Comm& comm, std::span<const Point<D>> points,
               std::span<const double> weights, const core::Settings& settings,
-              const RepartState<D>& state, core::GeographerResult& result,
-              std::mutex& resultMutex) {
+              const RepartState<D>& state, core::GeographerResult& result) {
     const auto n = static_cast<std::int64_t>(points.size());
     const int p = comm.size();
     const int r = comm.rank();
@@ -134,31 +133,18 @@ void warmBody(par::Comm& comm, std::span<const Point<D>> points,
 
     const double pipelineScore = (comm.cpuSeconds() - cpuStart) +
                                  (comm.stats().modeledCommSeconds - commStart);
-    const double pipelineMax = comm.allreduceMax(pipelineScore);
 
     // Rank slices are contiguous in input order, so the rank-ordered
     // concatenation of local assignments IS the global partition.
-    const auto all =
-        comm.allgatherv(std::span<const std::int32_t>(outcome.assignment));
-
-    const double kmeansMax = comm.allreduceMax(kmeansSeconds);
-    std::array<double, 2> subPhaseMax{outcome.assignSeconds, outcome.updateSeconds};
-    comm.allreduceMax(std::span<double>(subPhaseMax.data(), subPhaseMax.size()));
-    core::detail::storeKMeansDiagnostics<D>(comm, outcome, result, resultMutex);
-
-    if (comm.isRoot()) {
-        const std::lock_guard<std::mutex> lock(resultMutex);
-        result.partition = all;
-        result.phaseSeconds["kmeans"] = kmeansMax;
-        result.phaseSeconds["assign"] = subPhaseMax[0];
-        result.phaseSeconds["update"] = subPhaseMax[1];
-        result.modeledSeconds = pipelineMax;
-    }
-    // Cross-process runs have no shared result object: hand every rank the
-    // root's assembled copy (no-op on the simulator). The carried-over
-    // RepartState below is rebuilt from these replicated fields, so every
-    // worker process enters the next step with identical warm state.
-    core::detail::replicateResult(comm, result, resultMutex);
+    auto all = comm.allgatherv(std::span<const std::int32_t>(outcome.assignment));
+    if (core::detail::ownsResult(comm)) result.partition = std::move(all);
+    std::map<std::string, double> phases{{"kmeans", kmeansSeconds},
+                                         {"assign", outcome.assignSeconds},
+                                         {"update", outcome.updateSeconds}};
+    // The carried-over RepartState is rebuilt from the stored centers and
+    // influence, so every worker process enters the next step with
+    // identical warm state.
+    core::detail::finishRun<D>(comm, outcome, std::move(phases), pipelineScore, result);
 }
 
 }  // namespace
@@ -191,10 +177,9 @@ RepartResult<D> repartitionGeographer(std::span<const Point<D>> points,
     }
 
     if (warm) {
-        std::mutex resultMutex;
         par::Machine machine(ranks, model, settings.resolvedTransport());
         out.result.runStats = machine.run([&](par::Comm& comm) {
-            warmBody<D>(comm, points, weights, settings, state, out.result, resultMutex);
+            warmBody<D>(comm, points, weights, settings, state, out.result);
         });
         out.warmStarted = true;
         for (const auto b : out.result.partition)

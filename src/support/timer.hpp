@@ -3,8 +3,6 @@
 #pragma once
 
 #include <chrono>
-#include <map>
-#include <string>
 
 namespace geo {
 
@@ -23,47 +21,6 @@ public:
 private:
     using Clock = std::chrono::steady_clock;
     Clock::time_point start_;
-};
-
-/// Accumulates named phase timings (e.g. "sfc", "redistribute", "kmeans").
-class PhaseTimer {
-public:
-    /// RAII scope: adds elapsed time to the named phase on destruction.
-    class Scope {
-    public:
-        Scope(PhaseTimer& owner, std::string name)
-            : owner_(owner), name_(std::move(name)) {}
-        Scope(const Scope&) = delete;
-        Scope& operator=(const Scope&) = delete;
-        ~Scope() { owner_.add(name_, timer_.seconds()); }
-
-    private:
-        PhaseTimer& owner_;
-        std::string name_;
-        Timer timer_;
-    };
-
-    [[nodiscard]] Scope scope(std::string name) { return Scope(*this, std::move(name)); }
-
-    void add(const std::string& name, double seconds) { phases_[name] += seconds; }
-
-    [[nodiscard]] double get(const std::string& name) const {
-        auto it = phases_.find(name);
-        return it == phases_.end() ? 0.0 : it->second;
-    }
-
-    [[nodiscard]] double total() const {
-        double sum = 0.0;
-        for (const auto& [name, t] : phases_) sum += t;
-        return sum;
-    }
-
-    [[nodiscard]] const std::map<std::string, double>& phases() const { return phases_; }
-
-    void clear() { phases_.clear(); }
-
-private:
-    std::map<std::string, double> phases_;
 };
 
 }  // namespace geo

@@ -113,6 +113,11 @@ TEST(Geographer, CountersAreAggregated) {
     const auto mesh = geo::gen::delaunay2d(3000, 7);
     Settings s;
     const auto res = partitionGeographer<2>(mesh.points, {}, 8, 4, s);
+    // Each point is keyed once and owned by one rank after the sort, so the
+    // cross-rank sums are exact.
+    const auto n = static_cast<std::uint64_t>(mesh.points.size());
+    EXPECT_EQ(res.counters.keyedPoints, n);
+    EXPECT_EQ(res.counters.sortedRecords, n);
     EXPECT_GT(res.counters.pointEvaluations, 0u);
     EXPECT_GT(res.counters.distanceCalcs, 0u);
     EXPECT_GT(res.counters.balanceIterations, 0u);

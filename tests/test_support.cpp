@@ -375,24 +375,6 @@ TEST(Timer, MeasuresNonNegativeTime) {
     EXPECT_GE(t.seconds(), 0.0);
 }
 
-TEST(PhaseTimer, AccumulatesNamedPhases) {
-    geo::PhaseTimer pt;
-    pt.add("a", 1.0);
-    pt.add("a", 0.5);
-    pt.add("b", 2.0);
-    EXPECT_DOUBLE_EQ(pt.get("a"), 1.5);
-    EXPECT_DOUBLE_EQ(pt.get("b"), 2.0);
-    EXPECT_DOUBLE_EQ(pt.get("missing"), 0.0);
-    EXPECT_DOUBLE_EQ(pt.total(), 3.5);
-}
-
-TEST(PhaseTimer, ScopeAddsOnDestruction) {
-    geo::PhaseTimer pt;
-    { auto s = pt.scope("x"); }
-    EXPECT_GE(pt.get("x"), 0.0);
-    EXPECT_EQ(pt.phases().count("x"), 1u);
-}
-
 TEST(Table, PrintsHeaderAndRows) {
     geo::Table t({"graph", "tool", "cut"});
     t.addRow({"mesh1", "geographer", "123"});

@@ -9,11 +9,10 @@
 //   * run with --worker=conformance it executes the same battery inside a
 //     geo_launch worker and signals failure through its exit code;
 //   * run with --worker=pipeline OUT it runs the partition → repartition →
-//     route pipeline and rank 0 writes a binary dump of every
-//     deterministic output to OUT — the gtest side compares that dump
-//     byte-for-byte against the simulator's, which is the ISSUE acceptance
-//     criterion (same partition vector, same misrouteStats, at 2 and 4
-//     real processes).
+//     route pipeline and every rank r writes a binary dump of every
+//     deterministic output to OUT.r — the gtest side compares each dump
+//     byte-for-byte against the simulator's (same partition vector,
+//     counters and misrouteStats, at 2 and 4 real processes).
 //
 // Every expected value in the battery is the STRICT RANK-ORDER fold the
 // determinism contract promises (transport.hpp): each rank recomputes the
@@ -26,7 +25,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <mutex>
 #include <sstream>
@@ -303,6 +301,15 @@ std::vector<std::byte> runPipelineDump(int ranks, TransportKind kind) {
         w.u64(res.runStats.totalBytes);
         w.u64(res.runStats.collectives);
         w.f64(res.runStats.maxModeledCommSeconds);
+        for (const auto field : geo::core::kSummedCounters) w.u64(res.counters.*field);
+        for (const auto field : geo::core::kMaxedCounters) w.u64(res.counters.*field);
+        w.i32(res.counters.outerIterations);
+        // Phase names only: the times are wall clock.
+        w.u64(res.phaseSeconds.size());
+        for (const auto& phase : res.phaseSeconds) {
+            w.u64(phase.first.size());
+            w.bytes(phase.first.data(), phase.first.size());
+        }
     };
 
     RepartState<2> state;
@@ -376,7 +383,6 @@ int conformanceWorkerMain() {
 }
 
 int pipelineWorkerMain(const char* outPath) {
-    const char* rankEnv = std::getenv("GEO_RANK");
     try {
         const auto bytes = runPipelineDump(geo::par::defaultRanks(), TransportKind::Auto);
         // Guard against a silent simulator fallback, which would turn the
@@ -386,12 +392,13 @@ int pipelineWorkerMain(const char* outPath) {
             std::fprintf(stderr, "[pipeline] expected a cross-process transport\n");
             return 3;
         }
-        if (rankEnv != nullptr && std::strcmp(rankEnv, "0") == 0) {
-            std::ofstream out(outPath, std::ios::binary | std::ios::trunc);
-            out.write(reinterpret_cast<const char*>(bytes.data()),
-                      static_cast<std::streamsize>(bytes.size()));
-            if (!out.good()) return 4;
-        }
+        // Every process assembles its own result, so every rank's dump is
+        // compared against the simulator's.
+        const std::string path = std::string(outPath) + "." + std::to_string(transport->rank());
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out.write(reinterpret_cast<const char*>(bytes.data()),
+                  static_cast<std::streamsize>(bytes.size()));
+        if (!out.good()) return 4;
     } catch (const std::exception& e) {
         std::fprintf(stderr, "[pipeline] exception: %s\n", e.what());
         return 2;
@@ -513,19 +520,25 @@ void comparePipelineAgainstSim(int ranks) {
 
     const std::string out = "/tmp/geo_test_pipeline_" + std::to_string(::getpid()) +
                             "_" + std::to_string(ranks) + ".bin";
-    std::remove(out.c_str());
+    auto rankPath = [&out](int rank) { return out + "." + std::to_string(rank); };
+    for (int rank = 0; rank < ranks; ++rank) std::remove(rankPath(rank).c_str());
     ASSERT_EQ(runLaunch("-n " + std::to_string(ranks) + " -- " + selfExe() +
                         " --worker=pipeline " + out),
               0);
 
-    std::ifstream in(out, std::ios::binary);
-    ASSERT_TRUE(in.good()) << "worker produced no dump at " << out;
-    const auto socketBytes = binio::readAll(in, std::size_t{1} << 30);
-    std::remove(out.c_str());
-
-    ASSERT_EQ(socketBytes.size(), simBytes.size());
-    EXPECT_EQ(std::memcmp(socketBytes.data(), simBytes.data(), simBytes.size()), 0)
-        << "socket backend diverged from the simulator at " << ranks << " ranks";
+    for (int rank = 0; rank < ranks; ++rank) {
+        const std::string path = rankPath(rank);
+        std::ifstream in(path, std::ios::binary);
+        if (!in.good()) {
+            ADD_FAILURE() << "worker produced no dump at " << path;
+            continue;
+        }
+        const auto socketBytes = binio::readAll(in, std::size_t{1} << 30);
+        std::remove(path.c_str());
+        EXPECT_TRUE(socketBytes == simBytes)
+            << "socket rank " << rank << " diverged from the simulator at " << ranks
+            << " ranks";
+    }
 }
 
 TEST(PipelineBitwise, SimVsSocketTwoRanks) { comparePipelineAgainstSim(2); }
