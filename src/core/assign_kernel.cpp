@@ -56,6 +56,11 @@ void AssignEngine<D>::setActive(std::size_t activeCount) {
         lb_.assign(order_.size(), 0.0);
         epoch_.assign(order_.size(), 0);
     }
+    // The points and the order are fixed for the engine's lifetime, so a
+    // resident store already holding this prefix has its mirror and box
+    // current: skip the O(active) re-gather. A budgeted store goes through
+    // setActive every time, which keeps its spill accounting as it was.
+    if (store_.resident() && store_.activeCount() == activeCount) return;
     store_.setActive(order_, activeCount, settings_.resolvedThreads());
     recordStoreCounters();
 }
@@ -275,7 +280,8 @@ constexpr std::size_t kRetireInterval = 4;
 /// the shared tile kernel (core/tile_kernel.hpp) folds each sorted center
 /// into the live lanes, tracking best and runner-up. Lanes whose per-point
 /// pruning break has fired are materialized and compacted out every
-/// kRetireInterval centers, keeping the live lanes contiguous.
+/// kRetireInterval centers, keeping the live lanes contiguous; the pass
+/// runs only when the next center's pruning key is positive.
 template <int D>
 void AssignEngine<D>::batchKernel(Scratch& scratch, std::size_t m) {
     scratch.best2.assign(m, kInf);
@@ -325,11 +331,16 @@ void AssignEngine<D>::batchKernel(Scratch& scratch, std::size_t m) {
 
         // Retire finished lanes. Keys are sorted ascending, so once
         // key[next] > second2[lane] holds, no remaining center can displace
-        // the lane's best or runner-up: both are final.
-        if (keysValid_ && ci + 1 < kCount &&
-            ((ci % kRetireInterval) == kRetireInterval - 1 || ci + 2 == kCount)) {
-            const double nextKey =
-                centerKey_[static_cast<std::size_t>(sortedCenters_[ci + 1])];
+        // the lane's best or runner-up: both are final. second2 is never
+        // negative, so a pass against a key that is not positive (every
+        // center inside the active box has key 0) retires nothing and is
+        // skipped.
+        const bool retireStep =
+            keysValid_ && ci + 1 < kCount &&
+            ((ci % kRetireInterval) == kRetireInterval - 1 || ci + 2 == kCount);
+        const double nextKey =
+            retireStep ? centerKey_[static_cast<std::size_t>(sortedCenters_[ci + 1])] : 0.0;
+        if (nextKey > 0.0) {
             std::size_t w = 0;
             for (std::size_t j = 0; j < live; ++j) {
                 if (nextKey > scratch.second2[j]) {

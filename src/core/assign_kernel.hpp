@@ -84,7 +84,9 @@ public:
     /// Declare the active prefix, slots [0, activeCount) — the PointStore
     /// recomputes the active bounding box and (budget permitting) mirrors
     /// the points. Called once per assignAndBalance (the active set only
-    /// changes between calls); only the end of the prefix moves.
+    /// changes between calls); only the end of the prefix moves. A resident
+    /// store whose prefix length is unchanged is already current, so that
+    /// call does nothing.
     void setActive(std::size_t activeCount);
 
     /// Bounding box of the active points (invalid when none are active).

@@ -4,12 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstring>
+#include <iostream>
 #include <limits>
 #include <numeric>
 #include <vector>
 
 #include "core/assign_kernel.hpp"
+#include "core/tile_kernel.hpp"
 #include "geometry/box.hpp"
 #include "support/rng.hpp"
 
@@ -340,6 +344,123 @@ TEST(AssignEngine, BatchKernelCountsBatchedDistances) {
     engine.sweep(sizes);
     EXPECT_GT(engine.counters().distanceCalcs, 0u);
     EXPECT_EQ(engine.counters().batchedDistanceCalcs, engine.counters().distanceCalcs);
+}
+
+/// One fold sequence's lane state: coordinates plus the four running
+/// arrays, seen through a TileLanes view.
+template <int D>
+struct LaneBuffers {
+    std::array<std::vector<double>, static_cast<std::size_t>(D)> x;
+    std::vector<double> best2, bestC, second2, secondC;
+
+    [[nodiscard]] core::TileLanes<D> view() {
+        core::TileLanes<D> lanes;
+        for (std::size_t d = 0; d < static_cast<std::size_t>(D); ++d) lanes.x[d] = x[d].data();
+        lanes.best2 = best2.data();
+        lanes.bestC = bestC.data();
+        lanes.second2 = second2.data();
+        lanes.secondC = secondC.data();
+        return lanes;
+    }
+};
+
+bool sameBits(const std::vector<double>& a, const std::vector<double>& b) {
+    return a.size() == b.size() &&
+           (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+#if defined(__x86_64__)
+/// Folds eight centers into `count` lanes twice — through the baseline body
+/// and through the wide body (tail lanes to the baseline, as foldCenter
+/// does) — and requires every lane bitwise equal after every fold. The
+/// lanes cycle through random points, points sitting on center 0 (e2 = 0),
+/// points equidistant from centers 1 and 2 (an exact tie), and points so
+/// far out that e2 overflows to +inf; their starting state cycles through
+/// +inf, a finite best and runner-up, and a finite best alone. Center 3
+/// duplicates center 0 under another id, tying with it on every lane.
+template <int D, bool TrackSecond>
+void expectWideMatchesBaseline(std::size_t count, std::uint64_t seed) {
+    Xoshiro256 rng(seed);
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    std::vector<Point<D>> centers(8);
+    std::vector<double> inv(8);
+    for (std::size_t c = 0; c < centers.size(); ++c) {
+        for (int d = 0; d < D; ++d) centers[c][d] = rng.uniform();
+        const double influence = rng.uniform(0.5, 2.0);
+        inv[c] = 1.0 / (influence * influence);
+    }
+    centers[1][0] = 0.25;
+    centers[2] = centers[1];
+    centers[2][0] = 0.75;
+    inv[2] = inv[1];
+    centers[3] = centers[0];
+    inv[3] = inv[0];
+
+    LaneBuffers<D> base;
+    for (auto& xd : base.x) xd.resize(count);
+    base.best2.resize(count);
+    base.bestC.resize(count);
+    base.second2.resize(count);
+    base.secondC.resize(count);
+    for (std::size_t j = 0; j < count; ++j) {
+        Point<D> p;
+        for (int d = 0; d < D; ++d) p[d] = rng.uniform();
+        if (j % 4 == 1) p = centers[0];
+        if (j % 4 == 2) p[0] = 0.5;
+        if (j % 4 == 3) p[j % D] = j % 8 == 3 ? 1e200 : -1e200;
+        for (int d = 0; d < D; ++d) base.x[static_cast<std::size_t>(d)][j] = p[d];
+        const double b = rng.uniform(0.0, 0.5);
+        const std::size_t state = j % 3;
+        base.best2[j] = state == 0 ? kInf : b;
+        base.bestC[j] = state == 0 ? -1.0 : 90.0;
+        base.second2[j] = state == 1 ? b + rng.uniform() : kInf;
+        base.secondC[j] = state == 1 ? 91.0 : -1.0;
+    }
+    LaneBuffers<D> wide = base;
+    const core::TileLanes<D> baseLanes = base.view();
+    const core::TileLanes<D> wideLanes = wide.view();
+    const std::size_t bulk = count - count % 8;
+    for (std::size_t c = 0; c < centers.size(); ++c) {
+        const auto id = static_cast<double>(c);
+        core::detail::foldCenterBaseline<D, TrackSecond>(baseLanes, 0, count, centers[c],
+                                                         inv[c], id);
+        core::detail::foldCenterWide<D, TrackSecond>(wideLanes, count, centers[c], inv[c], id);
+        core::detail::foldCenterBaseline<D, TrackSecond>(wideLanes, bulk, count, centers[c],
+                                                         inv[c], id);
+        const auto where = ::testing::Message()
+                           << "D=" << D << " TrackSecond=" << TrackSecond << " count=" << count
+                           << " after center " << c;
+        ASSERT_TRUE(sameBits(base.best2, wide.best2)) << where;
+        ASSERT_TRUE(sameBits(base.bestC, wide.bestC)) << where;
+        ASSERT_TRUE(sameBits(base.second2, wide.second2)) << where;
+        ASSERT_TRUE(sameBits(base.secondC, wide.secondC)) << where;
+    }
+}
+#endif
+
+/// The AVX-512F foldCenter body against the SSE2 baseline: counts 0-17
+/// cover every tail length on both sides of one wide step, 1024 a whole
+/// block. The log line names the body compared, so a CI log shows what the
+/// runner exercised.
+TEST(TileKernel, WideBodyMatchesBaselineBitwise) {
+#if defined(__x86_64__)
+    if (!core::detail::wideFoldSupported())
+        GTEST_SKIP() << "CPU lacks AVX-512F: foldCenter runs the SSE2 baseline alone";
+    std::cout << "[ TileKernel ] comparing the AVX-512F body against the SSE2 baseline\n";
+    std::vector<std::size_t> counts(18);
+    std::iota(counts.begin(), counts.end(), std::size_t{0});
+    counts.push_back(1024);
+    for (const std::size_t count : counts) {
+        const std::uint64_t seed = 401 + count;
+        expectWideMatchesBaseline<2, false>(count, seed);
+        expectWideMatchesBaseline<2, true>(count, seed);
+        expectWideMatchesBaseline<3, false>(count, seed);
+        expectWideMatchesBaseline<3, true>(count, seed);
+        if (HasFatalFailure()) return;
+    }
+#else
+    GTEST_SKIP() << "the wide foldCenter body is compiled only on x86-64";
+#endif
 }
 
 }  // namespace

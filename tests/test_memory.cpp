@@ -56,12 +56,12 @@ TEST(ParseMemBytes, PlainAndSuffixedValues) {
 }
 
 TEST(ParseMemBytes, RejectsGarbageAndOverflow) {
-    EXPECT_THROW(parseMemBytes(""), std::invalid_argument);
-    EXPECT_THROW(parseMemBytes("abc"), std::invalid_argument);
-    EXPECT_THROW(parseMemBytes("12x"), std::invalid_argument);
-    EXPECT_THROW(parseMemBytes("-5"), std::invalid_argument);
-    EXPECT_THROW(parseMemBytes("k"), std::invalid_argument);
-    EXPECT_THROW(parseMemBytes("99999999999999999999g"), std::invalid_argument);
+    EXPECT_THROW((void)parseMemBytes(""), std::invalid_argument);
+    EXPECT_THROW((void)parseMemBytes("abc"), std::invalid_argument);
+    EXPECT_THROW((void)parseMemBytes("12x"), std::invalid_argument);
+    EXPECT_THROW((void)parseMemBytes("-5"), std::invalid_argument);
+    EXPECT_THROW((void)parseMemBytes("k"), std::invalid_argument);
+    EXPECT_THROW((void)parseMemBytes("99999999999999999999g"), std::invalid_argument);
 }
 
 TEST(MemoryBudget, SettingsFieldWinsOverEnvironment) {
@@ -81,7 +81,7 @@ TEST(MemoryBudget, UnsetEnvironmentMeansUnlimited) {
 TEST(MemoryBudget, UnparseableEnvironmentThrows) {
     const ScopedEnv env("GEO_MEM_BUDGET", "lots");
     Settings s;
-    EXPECT_THROW(s.resolvedMemoryBudget(), std::invalid_argument);
+    EXPECT_THROW((void)s.resolvedMemoryBudget(), std::invalid_argument);
     // Uncached: fixing the variable fixes the resolution.
     const ScopedEnv fixed("GEO_MEM_BUDGET", "8k");
     EXPECT_EQ(s.resolvedMemoryBudget(), 8192u);

@@ -439,7 +439,9 @@ TEST(ServeSnapshot, DuplicateCentersAndBisectorTiesRouteToLowestId) {
     for (std::size_t i = 0; i < queries.size(); ++i) {
         ASSERT_EQ(batched[i], snap.blockOf(queries[i])) << "query " << i;
         EXPECT_NE(batched[i], 1) << "query " << i << " went to the higher duplicate";
-        if (i >= random) EXPECT_EQ(batched[i], 0) << "bisector query " << i;
+        if (i >= random) {
+            EXPECT_EQ(batched[i], 0) << "bisector query " << i;
+        }
     }
 }
 
