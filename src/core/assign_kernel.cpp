@@ -124,7 +124,6 @@ void AssignEngine<D>::beginRound(std::span<const Point<D>> centers,
                   });
         keysValid_ = true;
     }
-    if (settings_.useKdTree) tree_.rebuild(centers_, influence_);
 }
 
 template <int D>
@@ -233,33 +232,12 @@ void AssignEngine<D>::processBlock(const typename PointStore<D>::WaveView& wave,
             }
         }
         scratch.slots.push_back(slot);
-        if (!settings_.useKdTree)
-            for (int d = 0; d < D; ++d)
-                scratch.gx[static_cast<std::size_t>(d)].push_back(
-                    wave.x[static_cast<std::size_t>(d)][j]);
+        for (int d = 0; d < D; ++d)
+            scratch.gx[static_cast<std::size_t>(d)].push_back(
+                wave.x[static_cast<std::size_t>(d)][j]);
     }
 
-    if (!scratch.slots.empty()) {
-        if (settings_.useKdTree) {
-            const std::uint32_t cur = currentEpoch();
-            for (const std::size_t slot : scratch.slots) {
-                const Point<D>& p = points_[order_[slot]];
-                const auto q = tree_.queryNearestIds(p);
-                assignment_[slot] = q.best;
-                const auto bc = static_cast<std::size_t>(q.best);
-                ub_[slot] = distance(p, centers_[bc]) / influence_[bc];
-                if (q.second >= 0) {
-                    const auto sc = static_cast<std::size_t>(q.second);
-                    lb_[slot] = distance(p, centers_[sc]) / influence_[sc];
-                } else {
-                    lb_[slot] = kInf;
-                }
-                epoch_[slot] = cur;
-            }
-        } else {
-            batchKernel(scratch, scratch.slots.size());
-        }
-    }
+    if (!scratch.slots.empty()) batchKernel(scratch, scratch.slots.size());
 
     // Per-block weighted sizes, accumulated in slot order within the block.
     for (std::int32_t c = 0; c < k_; ++c) blockSizes[c] = 0.0;

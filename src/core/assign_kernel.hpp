@@ -51,10 +51,10 @@
 //      reduction.
 //
 // Bounds and bbox pruning can be switched off through Settings
-// (hamerlyBounds, boundingBoxPruning) for the ablation benches, and
-// Settings::useKdTree swaps the linear scan for a CenterKdTree query. The
-// oracle lives in the tests: tests/test_kmeans.cpp embeds the seed
-// algorithm and checks that the engine reproduces it exactly.
+// (hamerlyBounds, boundingBoxPruning) for the ablation benches; either way
+// the tile kernel is the engine's only way to scan centers. The oracle
+// lives in the tests: tests/test_kmeans.cpp embeds the seed algorithm and
+// checks that the engine reproduces it exactly.
 #pragma once
 
 #include <array>
@@ -62,7 +62,6 @@
 #include <span>
 #include <vector>
 
-#include "core/center_tree.hpp"
 #include "core/point_store.hpp"
 #include "core/settings.hpp"
 #include "geometry/box.hpp"
@@ -184,7 +183,6 @@ private:
     std::vector<std::int32_t> sortedCenters_;
     std::vector<double> centerKey_;
     bool keysValid_ = false;  ///< pruning keys were computed this round
-    CenterKdTree<D> tree_;
 
     std::vector<double> blockSizes_;  ///< per-block weighted cluster sizes
     std::vector<double> blockSums_;   ///< per-block center-update partials

@@ -96,20 +96,10 @@ public:
             sampleSize_ = n;
         }
 
-        // Scale for the convergence threshold: expected cluster radius.
-        Box<D> bb = Box<D>::around(points_);
-        // Global bounding box (some ranks may hold few/no points).
-        std::array<double, 2 * D> lohi;
-        for (int i = 0; i < D; ++i) {
-            lohi[static_cast<std::size_t>(i)] = bb.valid() ? bb.lo[i] : kInf;
-            lohi[static_cast<std::size_t>(D + i)] = bb.valid() ? -bb.hi[i] : kInf;
-        }
-        comm_.allreduceMin(std::span<double>(lohi.data(), lohi.size()));
-        for (int i = 0; i < D; ++i) {
-            globalBox_.lo[i] = lohi[static_cast<std::size_t>(i)];
-            globalBox_.hi[i] = -lohi[static_cast<std::size_t>(D + i)];
-        }
-        clusterScale_ = expectedClusterRadius(globalBox_.diagonal(), k_, D);
+        // Scale for the convergence threshold: expected cluster radius over
+        // the global bounding box (some ranks may hold few/no points).
+        const Box<D> globalBox = allreduceBox<D>(comm_, Box<D>::around(points_));
+        clusterScale_ = expectedClusterRadius(globalBox.diagonal(), k_, D);
         deltaThreshold_ = settings_.deltaThresholdFactor * clusterScale_;
     }
 
@@ -294,7 +284,6 @@ private:
     std::vector<std::size_t> order_;  ///< the engine's slot order; built before it
     AssignEngine<D> engine_;
     std::size_t sampleSize_ = 0;
-    Box<D> globalBox_ = Box<D>::empty();
     double clusterScale_ = 1.0;
     double deltaThreshold_ = 0.0;
     KMeansCounters counters_;

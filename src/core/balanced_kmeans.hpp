@@ -25,11 +25,14 @@
 // DESIGN.md "Key design decisions".
 #pragma once
 
+#include <array>
 #include <cmath>
+#include <limits>
 #include <span>
 #include <vector>
 
 #include "core/settings.hpp"
+#include "geometry/box.hpp"
 #include "geometry/point.hpp"
 #include "par/comm.hpp"
 
@@ -42,6 +45,25 @@ namespace geo::core {
                                                   int dim) noexcept {
     return bboxDiagonal /
            std::pow(static_cast<double>(k), 1.0 / static_cast<double>(dim));
+}
+
+/// Bounding box of every rank's points from each rank's local box (invalid
+/// on a rank without points): one allreduceMin over [lo, −hi], 2·D doubles.
+template <int D>
+[[nodiscard]] Box<D> allreduceBox(par::Comm& comm, const Box<D>& local) {
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    std::array<double, 2 * D> lohi;
+    for (int d = 0; d < D; ++d) {
+        lohi[static_cast<std::size_t>(d)] = local.valid() ? local.lo[d] : kInf;
+        lohi[static_cast<std::size_t>(D + d)] = local.valid() ? -local.hi[d] : kInf;
+    }
+    comm.allreduceMin(std::span<double>(lohi));
+    Box<D> global;
+    for (int d = 0; d < D; ++d) {
+        global.lo[d] = lohi[static_cast<std::size_t>(d)];
+        global.hi[d] = -lohi[static_cast<std::size_t>(D + d)];
+    }
+    return global;
 }
 
 template <int D>

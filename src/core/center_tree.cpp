@@ -15,24 +15,14 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 template <int D>
 CenterKdTree<D>::CenterKdTree(std::span<const Point<D>> centers,
                               std::span<const double> influence) {
-    rebuild(centers, influence);
-}
-
-template <int D>
-void CenterKdTree<D>::rebuild(std::span<const Point<D>> centers,
-                              std::span<const double> influence) {
     GEO_REQUIRE(!centers.empty(), "kd-tree needs at least one center");
     GEO_REQUIRE(centers.size() == influence.size(), "one influence per center");
-    centers_.assign(centers.begin(), centers.end());
-    invInfluence2_.resize(influence.size());
-    for (std::size_t c = 0; c < influence.size(); ++c)
-        invInfluence2_[c] = 1.0 / (influence[c] * influence[c]);
-    order_.resize(centers_.size());
-    for (std::size_t i = 0; i < order_.size(); ++i)
-        order_[i] = static_cast<std::int32_t>(i);
-    nodes_.clear();
-    nodes_.reserve(2 * centers_.size() / kLeafSize + 2);
-    root_ = build(0, static_cast<std::int32_t>(centers_.size()), 0);
+    items_.reserve(centers.size());
+    for (std::size_t c = 0; c < centers.size(); ++c)
+        items_.push_back(Item{centers[c], 1.0 / (influence[c] * influence[c]),
+                              static_cast<std::int32_t>(c)});
+    nodes_.reserve(2 * items_.size() / kLeafSize + 2);
+    build(0, static_cast<std::int32_t>(items_.size()), 0);
 }
 
 template <int D>
@@ -43,9 +33,9 @@ std::int32_t CenterKdTree<D>::build(std::int32_t begin, std::int32_t end, int de
     // 1/maxInfluence².
     node.invMaxInfluence2 = kInf;
     for (std::int32_t i = begin; i < end; ++i) {
-        const auto c = static_cast<std::size_t>(order_[static_cast<std::size_t>(i)]);
-        node.bounds.extend(centers_[c]);
-        node.invMaxInfluence2 = std::min(node.invMaxInfluence2, invInfluence2_[c]);
+        const Item& item = items_[static_cast<std::size_t>(i)];
+        node.bounds.extend(item.center);
+        node.invMaxInfluence2 = std::min(node.invMaxInfluence2, item.invInfluence2);
     }
     node.begin = begin;
     node.end = end;
@@ -55,10 +45,9 @@ std::int32_t CenterKdTree<D>::build(std::int32_t begin, std::int32_t end, int de
     if (end - begin > kLeafSize) {
         const int axis = depth % D;
         const std::int32_t mid = (begin + end) / 2;
-        std::nth_element(order_.begin() + begin, order_.begin() + mid, order_.begin() + end,
-                         [&](std::int32_t a, std::int32_t b) {
-                             return centers_[static_cast<std::size_t>(a)][axis] <
-                                    centers_[static_cast<std::size_t>(b)][axis];
+        std::nth_element(items_.begin() + begin, items_.begin() + mid, items_.begin() + end,
+                         [&](const Item& a, const Item& b) {
+                             return a.center[axis] < b.center[axis];
                          });
         // Children are built after the parent; store indices post hoc.
         const auto left = build(begin, mid, depth + 1);
@@ -69,53 +58,45 @@ std::int32_t CenterKdTree<D>::build(std::int32_t begin, std::int32_t end, int de
     return id;
 }
 
+/// Lower bound on the squared effective distance of any center in the
+/// subtree.
 template <int D>
-void CenterKdTree<D>::searchSquared(std::int32_t nodeId, const Point<D>& p,
-                                    IdResult& out, double& best2,
-                                    double& second2) const {
+double CenterKdTree<D>::bound(std::int32_t nodeId, const Point<D>& p) const {
     const Node& node = nodes_[static_cast<std::size_t>(nodeId)];
-    // Squared-domain lower bound on any effective distance in this subtree.
-    const double bound2 = node.bounds.minSquaredDistance(p) * node.invMaxInfluence2;
-    if (bound2 >= second2) return;
+    return node.bounds.minSquaredDistance(p) * node.invMaxInfluence2;
+}
 
+template <int D>
+void CenterKdTree<D>::search(std::int32_t nodeId, double bound2, const Point<D>& p,
+                             Best& best) const {
+    if (bound2 > best.e2) return;
+    const Node& node = nodes_[static_cast<std::size_t>(nodeId)];
     if (node.left < 0) {
         for (std::int32_t i = node.begin; i < node.end; ++i) {
-            const auto c = order_[static_cast<std::size_t>(i)];
-            const double eff2 = squaredDistance(p, centers_[static_cast<std::size_t>(c)]) *
-                                invInfluence2_[static_cast<std::size_t>(c)];
-            if (eff2 < best2) {
-                second2 = best2;
-                out.second = out.best;
-                best2 = eff2;
-                out.best = c;
-            } else if (eff2 < second2) {
-                second2 = eff2;
-                out.second = c;
-            }
+            const Item& item = items_[static_cast<std::size_t>(i)];
+            const double e2 = squaredDistance(p, item.center) * item.invInfluence2;
+            if (e2 < best.e2 || (e2 == best.e2 && item.id < best.id)) best = {e2, item.id};
         }
         return;
     }
-    const auto& l = nodes_[static_cast<std::size_t>(node.left)];
-    const auto& r = nodes_[static_cast<std::size_t>(node.right)];
-    const double dl = l.bounds.minSquaredDistance(p) * l.invMaxInfluence2;
-    const double dr = r.bounds.minSquaredDistance(p) * r.invMaxInfluence2;
+    const double dl = bound(node.left, p);
+    const double dr = bound(node.right, p);
     if (dl <= dr) {
-        searchSquared(node.left, p, out, best2, second2);
-        searchSquared(node.right, p, out, best2, second2);
+        search(node.left, dl, p, best);
+        search(node.right, dr, p, best);
     } else {
-        searchSquared(node.right, p, out, best2, second2);
-        searchSquared(node.left, p, out, best2, second2);
+        search(node.right, dr, p, best);
+        search(node.left, dl, p, best);
     }
 }
 
 template <int D>
-typename CenterKdTree<D>::IdResult CenterKdTree<D>::queryNearestIds(
-    const Point<D>& p) const {
-    IdResult out;
-    double best2 = kInf, second2 = kInf;
-    searchSquared(root_, p, out, best2, second2);
-    GEO_CHECK(out.best >= 0, "kd-tree query found no center");
-    return out;
+std::int32_t CenterKdTree<D>::nearest(const Point<D>& p) const {
+    // Starting from (+inf, id 0) makes an all-+inf query answer id 0, as
+    // the id-ordered scans do.
+    Best best{kInf, 0};
+    search(0, 0.0, p, best);
+    return best.id;
 }
 
 template class CenterKdTree<2>;

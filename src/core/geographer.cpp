@@ -51,20 +51,7 @@ void spmdBody(par::Comm& comm, std::span<const Point<D>> points,
     // Phase 1: curve keys for the local slice (threaded bounds pass, global
     // bounding box via allreduce, threaded batch keying).
     Timer t1;
-    const Box<D> bb = sfc::boundsOf<D>(localPoints, threads);
-    std::array<double, 2 * D> lohi;
-    for (int d = 0; d < D; ++d) {
-        lohi[static_cast<std::size_t>(d)] =
-            bb.valid() ? bb.lo[d] : std::numeric_limits<double>::infinity();
-        lohi[static_cast<std::size_t>(D + d)] =
-            bb.valid() ? -bb.hi[d] : std::numeric_limits<double>::infinity();
-    }
-    comm.allreduceMin(std::span<double>(lohi.data(), lohi.size()));
-    Box<D> globalBox;
-    for (int d = 0; d < D; ++d) {
-        globalBox.lo[d] = lohi[static_cast<std::size_t>(d)];
-        globalBox.hi[d] = -lohi[static_cast<std::size_t>(D + d)];
-    }
+    const Box<D> globalBox = allreduceBox<D>(comm, sfc::boundsOf<D>(localPoints, threads));
     // Keying is fused into the record build through one tile-sized stack
     // buffer per worker (no n-wide key mirror): each worker keys a
     // kKeyTile-point span at a time and writes the records straight out.
@@ -241,6 +228,8 @@ GeographerResult partitionGeographer(std::span<const Point<D>> points,
                 "need at least k points");
     GEO_REQUIRE(weights.empty() || weights.size() == points.size(),
                 "weights must be empty or match points");
+    GEO_REQUIRE(detail::allFinite<D>(points, weights),
+                "point coordinates and weights must be finite");
 
     GeographerResult result;
     par::Machine machine(ranks, model, settings.resolvedTransport());

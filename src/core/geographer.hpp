@@ -10,6 +10,8 @@
 // §5.3.2. The number of blocks k is independent of the number of ranks.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -85,6 +87,22 @@ extern template GeographerResult partitionGeographer<3>(std::span<const Point3>,
                                                         int, const Settings&, par::CostModel);
 
 namespace detail {
+
+/// Whether every coordinate and weight is finite: a value precondition of
+/// both partition entry points (this one and repart::repartitionGeographer),
+/// checked before any SPMD run starts. A NaN or infinite value has no
+/// effective distance to compare, and would surface deep in the assignment
+/// kernel as an internal error instead.
+template <int D>
+[[nodiscard]] bool allFinite(std::span<const Point<D>> points,
+                             std::span<const double> weights) {
+    const auto finite = [](double v) { return std::isfinite(v); };
+    return std::all_of(points.begin(), points.end(),
+                       [&](const Point<D>& p) {
+                           return std::all_of(p.x.begin(), p.x.end(), finite);
+                       }) &&
+           std::all_of(weights.begin(), weights.end(), finite);
+}
 
 /// Whether this rank fills the GeographerResult of its SPMD run. On the
 /// simulator all rank threads share one result object and rank 0 alone

@@ -50,12 +50,6 @@ struct Settings {
     /// Bounding-box center pruning (§4.4).
     bool boundingBoxPruning = true;
 
-    /// Assign points via a kd-tree over the centers instead of the linear
-    /// scan — the alternative §4.3 dismisses ("kd-trees are outperformed by
-    /// simpler distance bounds"); kept for the ablation that verifies the
-    /// claim. Composes with hamerlyBounds (the skip test still applies).
-    bool useKdTree = false;
-
     /// Sampled initialization: start with 100 random points per rank and
     /// double each round (§4.5 "random initialization").
     bool sampledInitialization = true;

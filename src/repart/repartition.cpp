@@ -159,6 +159,8 @@ RepartResult<D> repartitionGeographer(std::span<const Point<D>> points,
     GEO_REQUIRE(static_cast<std::int64_t>(points.size()) >= k, "need at least k points");
     GEO_REQUIRE(weights.empty() || weights.size() == points.size(),
                 "weights must be empty or match points");
+    GEO_REQUIRE(core::detail::allFinite<D>(points, weights),
+                "point coordinates and weights must be finite");
     GEO_REQUIRE(!(options.forceCold && options.forceWarm),
                 "forceCold and forceWarm are mutually exclusive");
 

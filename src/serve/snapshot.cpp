@@ -79,7 +79,6 @@ void PartitionSnapshot<D>::finalize() {
     for (const std::int32_t rank : blockRank_)
         GEO_REQUIRE(rank >= 0, "block → rank map entry out of range");
 
-    useTree_ = false;
     if (depth() == 1 && k_ >= kKdTreeFromK) {
         const Level& flat = levels_.front();
         std::vector<Point<D>> centers(static_cast<std::size_t>(k_));
@@ -87,8 +86,7 @@ void PartitionSnapshot<D>::finalize() {
             for (int d = 0; d < D; ++d)
                 centers[static_cast<std::size_t>(c)][d] =
                     flat.cx[static_cast<std::size_t>(d)][static_cast<std::size_t>(c)];
-        tree_.rebuild(centers, flat.influence);
-        useTree_ = true;
+        tree_.emplace(centers, flat.influence);
     }
 }
 
@@ -210,7 +208,7 @@ std::int32_t PartitionSnapshot<D>::rankOf(std::int32_t block) const {
 /// and tie rule.
 template <int D>
 std::int32_t PartitionSnapshot<D>::blockOf(const Point<D>& p) const {
-    if (useTree_) return tree_.queryNearestIds(p).best;
+    if (tree_) return tree_->nearest(p);
     std::int64_t node = 0;
     for (const Level& level : levels_) {
         const auto b = static_cast<std::size_t>(level.branching);
@@ -241,7 +239,7 @@ std::int32_t PartitionSnapshot<D>::blockOf(const Point<D>& p) const {
 template <int D>
 void PartitionSnapshot<D>::routeTile(const Point<D>* pts, std::size_t count,
                                      std::int32_t* out) const {
-    if (useTree_ || depth() > 1) {
+    if (tree_ || depth() > 1) {
         for (std::size_t i = 0; i < count; ++i) out[i] = blockOf(pts[i]);
         return;
     }

@@ -9,8 +9,8 @@
 //     distance comparison — batched lookups through the same tile kernel,
 //     core/tile_kernel.hpp, folding the centers into a tile of points,
 //   * a core::CenterKdTree over the centers of a flat snapshot with
-//     k >= kKdTreeFromK blocks, answering the same squared-domain argmin in
-//     O(log k),
+//     k >= kKdTreeFromK blocks, answering the same squared-domain argmin,
+//     with the same tie rule, without scanning every center,
 //   * for hierarchical runs, one weighted-Voronoi diagram per topology node
 //     (HierResult::nodeDiagrams): a lookup descends the levels, picking the
 //     argmin child at each node, and the mixed-radix child digits ARE the
@@ -25,15 +25,14 @@
 //
 // Ties: a point can be exactly equidistant (in effective distance) from two
 // centers — duplicated centers (an empty cluster keeps its seeded center),
-// or a point on a bisector. The linear-scan and descent paths visit
-// centers in id order with a strict `<` and resolve a tie to the lowest
-// block id. The assignment engine visits centers in ascending (pruning
-// key, id) order, so it agrees whenever the tied centers' keys are equal —
-// in particular when both lie inside the rank's active box, where every key
-// is 0. Tied centers whose keys differ (one of them outside the active box,
-// as happens with several ranks or warm starts) may still resolve
-// differently, and so may the kd-tree paths of both, which visit centers in
-// tree order.
+// or a point on a bisector. Every lookup path resolves a tie to the lowest
+// block id: the linear-scan and descent paths visit centers in id order
+// with a strict `<`, and the kd-tree compares ids on equal distances. The
+// assignment engine visits centers in ascending (pruning key, id) order, so
+// it agrees whenever the tied centers' keys are equal — in particular when
+// both lie inside the rank's active box, where every key is 0. Tied centers
+// whose keys differ (one of them outside the active box, as happens with
+// several ranks or warm starts) may still resolve differently.
 //
 // Snapshots are immutable after construction; every member function is
 // const and safe to call from any number of threads concurrently. The
@@ -45,6 +44,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -63,8 +63,7 @@ class PartitionSnapshot {
 public:
     /// A flat (depth-1) snapshot with at least this many blocks builds a
     /// core::CenterKdTree over its centers; single-point and batched
-    /// lookups then answer the argmin in O(log k) instead of scanning all
-    /// centers.
+    /// lookups then go through the tree instead of scanning all centers.
     static constexpr std::int32_t kKdTreeFromK = 128;
 
     /// One level of the routing hierarchy. A flat k-block snapshot is one
@@ -112,7 +111,7 @@ public:
     [[nodiscard]] std::uint64_t version() const noexcept { return version_; }
     [[nodiscard]] std::int32_t blockCount() const noexcept { return k_; }
     [[nodiscard]] int depth() const noexcept { return static_cast<int>(levels_.size()); }
-    [[nodiscard]] bool usesKdTree() const noexcept { return useTree_; }
+    [[nodiscard]] bool usesKdTree() const noexcept { return tree_.has_value(); }
     [[nodiscard]] bool hasRankMap() const noexcept { return !blockRank_.empty(); }
 
     /// Topology leaf of `block` (identity when the snapshot carries no
@@ -150,8 +149,7 @@ private:
     std::vector<Level> levels_;
     std::vector<std::int32_t> blockLeaf_;  ///< empty = identity
     std::vector<std::int32_t> blockRank_;  ///< empty = no rank map
-    core::CenterKdTree<D> tree_;
-    bool useTree_ = false;
+    std::optional<core::CenterKdTree<D>> tree_;  ///< flat snapshots, k >= kKdTreeFromK
 };
 
 extern template class PartitionSnapshot<2>;

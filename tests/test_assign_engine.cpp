@@ -129,61 +129,55 @@ TEST(AssignEngine, ShuffledGrowingPrefixMatchesBruteForce) {
     Xoshiro256 shuffle(311);
     for (std::size_t i = order.size(); i > 1; --i) std::swap(order[i - 1], order[shuffle.below(i)]);
 
-    for (const bool kdTree : {false, true}) {
-        for (const int threads : {1, 3}) {
-            SCOPED_TRACE(::testing::Message() << "kdTree=" << kdTree << " threads=" << threads);
-            auto centers = randomPoints<2>(16, 313);
-            std::vector<double> influence(16, 1.0);
-            Settings s;
-            s.useKdTree = kdTree;
-            s.threads = threads;
-            AssignEngine<2> engine(points, {}, order, s, 16);
-            std::vector<double> sizes(16, 0.0);
-            Xoshiro256 rng(317);
-            for (const std::size_t prefix : {std::size_t{1000}, std::size_t{2000},
-                                             std::size_t{4000}, points.size()}) {
-                engine.setActive(prefix);
-                engine.beginRound(centers, influence, engine.activeBox());
-                engine.sweep(sizes);
-                expectPrefixMatchesBruteForce(engine, points, order, prefix, centers,
-                                              influence, sizes);
+    for (const int threads : {1, 3}) {
+        SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+        auto centers = randomPoints<2>(16, 313);
+        std::vector<double> influence(16, 1.0);
+        Settings s;
+        s.threads = threads;
+        AssignEngine<2> engine(points, {}, order, s, 16);
+        std::vector<double> sizes(16, 0.0);
+        Xoshiro256 rng(317);
+        for (const std::size_t prefix : {std::size_t{1000}, std::size_t{2000},
+                                         std::size_t{4000}, points.size()}) {
+            engine.setActive(prefix);
+            engine.beginRound(centers, influence, engine.activeBox());
+            engine.sweep(sizes);
+            expectPrefixMatchesBruteForce(engine, points, order, prefix, centers, influence,
+                                          sizes);
 
-                // Between rounds: one influence epoch, then one move epoch
-                // (centers shift, influence erodes), both replayed lazily.
-                std::vector<double> ratio(16), shift(16);
-                for (std::size_t c = 0; c < 16; ++c) {
-                    const double before = influence[c];
-                    influence[c] *= rng.uniform(0.96, 1.04);
-                    ratio[c] = before / influence[c];
-                }
-                engine.pushInfluenceEpoch(ratio);
-                for (std::size_t c = 0; c < 16; ++c) {
-                    Point2 moved = centers[c];
-                    moved[0] += rng.uniform(-0.01, 0.01);
-                    moved[1] += rng.uniform(-0.01, 0.01);
-                    const double delta = distance(moved, centers[c]);
-                    centers[c] = moved;
-                    const double before = influence[c];
-                    influence[c] *= rng.uniform(0.98, 1.02);
-                    ratio[c] = before / influence[c];
-                    shift[c] = delta / influence[c];
-                }
-                engine.pushMoveEpoch(ratio, shift);
+            // Between rounds: one influence epoch, then one move epoch
+            // (centers shift, influence erodes), both replayed lazily.
+            std::vector<double> ratio(16), shift(16);
+            for (std::size_t c = 0; c < 16; ++c) {
+                const double before = influence[c];
+                influence[c] *= rng.uniform(0.96, 1.04);
+                ratio[c] = before / influence[c];
             }
-            EXPECT_GT(engine.counters().boundSkips, 0u);
-            EXPECT_GT(engine.counters().epochBoundApplications, 0u);
+            engine.pushInfluenceEpoch(ratio);
+            for (std::size_t c = 0; c < 16; ++c) {
+                Point2 moved = centers[c];
+                moved[0] += rng.uniform(-0.01, 0.01);
+                moved[1] += rng.uniform(-0.01, 0.01);
+                const double delta = distance(moved, centers[c]);
+                centers[c] = moved;
+                const double before = influence[c];
+                influence[c] *= rng.uniform(0.98, 1.02);
+                ratio[c] = before / influence[c];
+                shift[c] = delta / influence[c];
+            }
+            engine.pushMoveEpoch(ratio, shift);
         }
+        EXPECT_GT(engine.counters().boundSkips, 0u);
+        EXPECT_GT(engine.counters().epochBoundApplications, 0u);
     }
 }
 
-class EngineModeSweep : public ::testing::TestWithParam<std::tuple<bool, int>> {};
-INSTANTIATE_TEST_SUITE_P(
-    Modes, EngineModeSweep,
-    ::testing::Combine(::testing::Bool(),          // useKdTree
-                       ::testing::Values(1, 3)));  // threads
+class EngineModeSweep : public ::testing::TestWithParam<int> {};
+INSTANTIATE_TEST_SUITE_P(Modes, EngineModeSweep, ::testing::Values(1, 3));  // threads
 
 TEST_P(EngineModeSweep, SingleSweepMatchesBruteForce) {
-    const auto [kdTree, threads] = GetParam();
+    const int threads = GetParam();
     const auto points = randomPoints<2>(4000, 211);
     const auto centers = randomPoints<2>(23, 223);
     Xoshiro256 rng(227);
@@ -191,7 +185,6 @@ TEST_P(EngineModeSweep, SingleSweepMatchesBruteForce) {
     for (std::size_t c = 0; c < centers.size(); ++c)
         influence.push_back(rng.uniform(0.5, 2.0));
     Settings s;
-    s.useKdTree = kdTree;
     s.threads = threads;
     const auto order = identityOrder(points.size());
     AssignEngine<2> engine(points, {}, order, s, 23);

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
 
 #include "core/geographer.hpp"
@@ -141,6 +142,31 @@ TEST(Geographer, RejectsBadArguments) {
     EXPECT_THROW((void)partitionGeographer<2>(mesh.points, {}, 200, 1, s),
                  std::invalid_argument);
     EXPECT_THROW((void)partitionGeographer<2>(std::span<const Point2>{}, {}, 1, 1, s),
+                 std::invalid_argument);
+}
+
+TEST(Geographer, RejectsNonFiniteInput) {
+    // One bad value among 4,000 points, in either coordinate or in a weight,
+    // fails the precondition before any SPMD run; unchecked, a NaN or +inf
+    // coordinate reached the assignment kernel, which found no center for it.
+    geo::Xoshiro256 rng(263);
+    std::vector<Point2> points(4000);
+    for (auto& p : points) p = Point2{{rng.uniform(), rng.uniform()}};
+    Settings s;
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+    for (const double bad : {kNaN, kInf, -kInf}) {
+        for (const int d : {0, 1}) {
+            auto withBad = points;
+            withBad[1234][d] = bad;
+            EXPECT_THROW((void)partitionGeographer<2>(withBad, {}, 8, 2, s),
+                         std::invalid_argument)
+                << bad << " in coordinate " << d;
+        }
+    }
+    std::vector<double> weights(points.size(), 1.0);
+    weights[1234] = kNaN;
+    EXPECT_THROW((void)partitionGeographer<2>(points, weights, 8, 2, s),
                  std::invalid_argument);
 }
 

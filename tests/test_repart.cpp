@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "core/balanced_kmeans.hpp"
 #include "graph/metrics.hpp"
@@ -348,6 +349,38 @@ TEST(Repartition, ForceFlagsOverrideProbe) {
     EXPECT_TRUE(warm.warmStarted);
     EXPECT_FALSE(warm.normalizedDrift.has_value());
     EXPECT_EQ(warm.result.phaseSeconds.count("probe"), 0u);
+}
+
+TEST(Repartition, RejectsNonFiniteInput) {
+    // The precondition runs before the probe and before any SPMD run, on
+    // the cold path (no usable state) and on the warm path alike.
+    Xoshiro256 rng(269);
+    std::vector<Point2> cloud(4000);
+    for (auto& p : cloud) p = Point2{{rng.uniform(), rng.uniform()}};
+    Settings s;
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+    RepartState<2> state;
+    for (const bool warm : {false, true}) {
+        SCOPED_TRACE(warm ? "warm" : "cold");
+        RepartOptions options;
+        options.forceWarm = warm;
+        ASSERT_EQ(state.warmable(8), warm);
+        for (const double bad : {kNaN, kInf, -kInf}) {
+            auto withBad = cloud;
+            withBad[1234][0] = bad;
+            EXPECT_THROW(
+                (void)repartitionGeographer<2>(withBad, {}, 8, 2, s, state, options),
+                std::invalid_argument)
+                << bad;
+        }
+        std::vector<double> weights(cloud.size(), 1.0);
+        weights[1234] = kNaN;
+        EXPECT_THROW((void)repartitionGeographer<2>(cloud, weights, 8, 2, s, state, options),
+                     std::invalid_argument);
+        // A clean cold step leaves the state the warm round starts from.
+        if (!warm) (void)repartitionGeographer<2>(cloud, {}, 8, 2, s, state);
+    }
 }
 
 TEST(Repartition, WarmNeedsFewerOuterIterationsThanCold) {

@@ -14,6 +14,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -413,16 +414,40 @@ TEST(ServeSnapshot, FromStateServesCarriedWarmStartState) {
     }
 }
 
-TEST(ServeSnapshot, DuplicateCentersAndBisectorTiesRouteToLowestId) {
-    // Two duplicated centers plus one distinct: every query nearer the
-    // duplicates ties exactly between ids 0 and 1, and queries on the
-    // bisector x = 0.5 tie between all three. Each tie must resolve to the
-    // lowest id, identically on the batched and single-point paths.
-    const std::vector<Point2> centers{Point2{{0.25, 0.5}}, Point2{{0.25, 0.5}},
-                                      Point2{{0.75, 0.5}}};
-    const std::vector<double> influence(3, 1.0);
+/// The routing definition: the smallest squared effective distance, centers
+/// scanned in id order with a strict `<`, so an exact tie goes to the
+/// lowest id.
+std::int32_t lowestIdScan(const Point2& q, const std::vector<Point2>& centers,
+                          const std::vector<double>& influence) {
+    double best2 = std::numeric_limits<double>::infinity();
+    std::int32_t best = 0;
+    for (std::size_t c = 0; c < centers.size(); ++c) {
+        const double e2 =
+            geo::squaredDistance(q, centers[c]) * (1.0 / (influence[c] * influence[c]));
+        if (e2 < best2) {
+            best2 = e2;
+            best = static_cast<std::int32_t>(c);
+        }
+    }
+    return best;
+}
+
+/// Two duplicated centers plus one distinct: every query nearer the
+/// duplicates ties exactly between ids 0 and 1, and queries on the bisector
+/// x = 0.5 tie between all three. `decoys` more centers sit far outside the
+/// unit square, where no query comes near them; enough of them move the
+/// snapshot onto its kd-tree. Each tie must resolve to the lowest id,
+/// identically on the batched and single-point paths.
+void expectTiesRouteToLowestId(std::int32_t decoys) {
+    std::vector<Point2> centers{Point2{{0.25, 0.5}}, Point2{{0.25, 0.5}},
+                                Point2{{0.75, 0.5}}};
+    for (std::int32_t i = 0; i < decoys; ++i)
+        centers.push_back(Point2{{100.0 + i % 16, 100.0 + i / 16}});
+    const std::vector<double> influence(centers.size(), 1.0);
     const auto snap =
         PartitionSnapshot<2>::fromCenters(std::span<const Point2>(centers), influence);
+    EXPECT_EQ(snap.usesKdTree(),
+              snap.blockCount() >= PartitionSnapshot<2>::kKdTreeFromK);
 
     Xoshiro256 rng(257);
     std::vector<Point2> queries(4096);
@@ -436,13 +461,24 @@ TEST(ServeSnapshot, DuplicateCentersAndBisectorTiesRouteToLowestId) {
 
     std::vector<std::int32_t> batched(queries.size(), -1);
     snap.blockOf(queries, batched);
+    int wrong = 0;
     for (std::size_t i = 0; i < queries.size(); ++i) {
-        ASSERT_EQ(batched[i], snap.blockOf(queries[i])) << "query " << i;
+        const std::int32_t want = lowestIdScan(queries[i], centers, influence);
+        if (batched[i] != want || snap.blockOf(queries[i]) != want) ++wrong;
         EXPECT_NE(batched[i], 1) << "query " << i << " went to the higher duplicate";
         if (i >= random) {
             EXPECT_EQ(batched[i], 0) << "bisector query " << i;
         }
     }
+    EXPECT_EQ(wrong, 0) << "of " << queries.size() << " queries";
+}
+
+TEST(ServeSnapshot, DuplicateCentersAndBisectorTiesRouteToLowestId) {
+    expectTiesRouteToLowestId(0);
+}
+
+TEST(ServeSnapshot, DuplicateCentersAndBisectorTiesRouteToLowestIdThroughKdTree) {
+    expectTiesRouteToLowestId(PartitionSnapshot<2>::kKdTreeFromK - 3);
 }
 
 TEST(ServeSnapshot, EngineAndSnapshotBreakExactTiesTheSameWay) {
