@@ -30,14 +30,6 @@ namespace geo::bench {
     return par::workerRank() < 0 ? 1 : par::defaultRanks();
 }
 
-/// Display name of the transport a Settings-carried kind will resolve to —
-/// what the BENCH_*.json "transport" field records.
-[[nodiscard]] inline const char* resolvedTransportName(par::TransportKind kind) {
-    return par::transportKindName(kind == par::TransportKind::Auto
-                                      ? par::envTransportKind()
-                                      : kind);
-}
-
 /// Emit the peak-RSS field every BENCH_*.json carries, so the bench
 /// trajectory tracks memory alongside time. Callers place it right after
 /// the opening lines of the object (note the trailing comma + newline).
@@ -81,9 +73,9 @@ struct ToolRow {
 
 /// Run every registered tool on a mesh and collect the §2 metrics.
 /// `spmvIterations` = 0 skips the SpMV benchmark (faster sweeps).
-/// `ranks` only affects Geographer (the baselines run serially); pairing it
-/// with GEO_TRANSPORT=socket under geo_launch puts its SPMD phase on the
-/// real multi-process backend.
+/// `ranks` only affects Geographer (the baselines run serially); under
+/// `geo_launch -n ranks` its SPMD phase runs on the real multi-process
+/// backend.
 template <int D>
 std::vector<ToolRow> runAllTools(const gen::Mesh<D>& mesh, std::int32_t k, double eps,
                                  std::uint64_t seed, int spmvIterations = 20,

@@ -60,7 +60,7 @@ struct ScalingRow {
 };
 
 void writeJson(const std::string& path, std::int64_t n, std::int32_t k,
-               geo::par::TransportKind transport, std::uint64_t memBudget,
+               const char* transport, std::uint64_t memBudget,
                double serveSeconds, std::int64_t servedPoints,
                const std::vector<ScalingRow>& rows) {
     std::ofstream out(path);
@@ -71,7 +71,7 @@ void writeJson(const std::string& path, std::int64_t n, std::int32_t k,
     out << "{\n  \"bench\": \"components_breakdown\",\n"
         << "  \"instance\": \"delaunay2d\",\n"
         << "  \"n\": " << n << ",\n  \"k\": " << k << ",\n  \"ranks\": 1,\n"
-        << "  \"transport\": \"" << geo::bench::resolvedTransportName(transport)
+        << "  \"transport\": \"" << transport
         << "\",\n  \"processes\": " << geo::bench::workerProcesses() << ",\n"
         << "  \"mem_budget_bytes\": " << memBudget << ",\n"
         << "  \"serve_s\": " << serveSeconds << ",\n"
@@ -101,13 +101,11 @@ int main(int argc, char** argv) {
     using namespace geo;
     std::int64_t scalingN = 1'000'000;
     std::string jsonPath;
-    par::TransportKind transport = par::TransportKind::Auto;
     std::uint64_t memBudget = 0;
     std::uint64_t assertRss = 0;
     std::string checkpointPath, resumePath;
-    const char* usage =
-        " [scaling-n] [--transport sim|socket|tcp] [--mem-budget BYTES]"
-        " [--assert-rss BYTES] [--json PATH] [--checkpoint PATH] [--resume PATH]\n";
+    const char* usage = " [scaling-n] [--mem-budget BYTES] [--assert-rss BYTES] [--json PATH]"
+                        " [--checkpoint PATH] [--resume PATH]\n";
     for (int a = 1; a < argc; ++a) {
         const std::string arg = argv[a];
         if (arg == "--json") {
@@ -128,12 +126,6 @@ int main(int argc, char** argv) {
                 return 1;
             }
             resumePath = argv[++a];
-        } else if (arg == "--transport") {
-            if (a + 1 >= argc) {
-                std::cerr << "--transport requires a backend\nusage: " << argv[0] << usage;
-                return 1;
-            }
-            transport = par::parseTransportKind(argv[++a]);
         } else if (arg == "--mem-budget" || arg == "--assert-rss") {
             if (a + 1 >= argc) {
                 std::cerr << arg << " requires a byte count\nusage: " << argv[0] << usage;
@@ -192,7 +184,6 @@ int main(int argc, char** argv) {
     Table engineTable({"ranks", "kmeans[s]", "distCalcs", "batched", "epochApps", "skip%"});
     for (const int ranks : {1, 2, 4, 8, 16, 32}) {
         core::Settings settings;
-        settings.transport = transport;
         settings.memoryBudgetBytes = memBudget;
         const auto res = core::partitionGeographer<2>(mesh.points, {}, k, ranks, settings);
         const double h = res.phaseSeconds.at("hilbert");
@@ -235,7 +226,6 @@ int main(int argc, char** argv) {
     for (std::size_t rowIdx = firstRow; rowIdx < rowCount; ++rowIdx) {
         const int threads = threadCounts[rowIdx];
         core::Settings settings;
-        settings.transport = transport;
         settings.memoryBudgetBytes = memBudget;
         settings.threads = threads;
         Timer whole;
@@ -326,8 +316,8 @@ int main(int argc, char** argv) {
               << " MB\n";
 
     if (!jsonPath.empty() && bench::isRootProcess())
-        writeJson(jsonPath, scalingN, k, transport, memBudget, serveSeconds,
-                  static_cast<std::int64_t>(routed.size()), rows);
+        writeJson(jsonPath, scalingN, k, lastRes.runStats.transport, memBudget,
+                  serveSeconds, static_cast<std::int64_t>(routed.size()), rows);
     if (assertRss > 0 && peakRss > assertRss) {
         std::cerr << "FAIL: peak RSS " << peakRss << " bytes exceeds --assert-rss "
                   << assertRss << "\n";

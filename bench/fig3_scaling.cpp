@@ -12,13 +12,13 @@
 // (DESIGN.md §2). The shape to reproduce: Geographer/MJ/HSFC scale nearly
 // flat (weak) and downward (strong); RCB/RIB degrade visibly.
 //
-//   ./bench_fig3_scaling [--transport sim|socket|tcp] [--ranks N]
+//   ./bench_fig3_scaling [--ranks N]
 //
 // `--ranks N` replaces the p sweep with the single width N — the mode for
-// `geo_launch -n N -- bench_fig3_scaling --transport socket --ranks N`,
-// where only a run whose SPMD width matches the launched process mesh
-// engages the real socket backend (any other width silently falls back to
-// the simulator, which would mislabel the rows).
+// `geo_launch -n N -- bench_fig3_scaling --ranks N`, where only a run whose
+// SPMD width matches the launched process mesh engages the real socket
+// backend (any other width runs on the simulator, which would mislabel the
+// rows).
 #include <cstdlib>
 #include <iostream>
 #include <string>
@@ -33,18 +33,17 @@ namespace {
 
 using namespace geo;
 
-double geographerModeledSeconds(const gen::Mesh2& mesh, std::int32_t k, int ranks,
-                                par::TransportKind transport) {
+double geographerModeledSeconds(const gen::Mesh2& mesh, std::int32_t k, int ranks) {
     core::Settings settings;
     settings.epsilon = 0.03;
-    settings.transport = transport;
     const auto res = core::partitionGeographer<2>(mesh.points, {}, k, ranks, settings);
     return res.modeledSeconds;
 }
 
-/// Measured SPMD RCB: per-rank CPU + modeled comm, like Geographer.
+/// Measured SPMD RCB: the slowest rank's CPU + modeled comm, like
+/// Geographer. Each rank snapshots its score before the closing max.
 double rcbSpmdModeledSeconds(const gen::Mesh2& mesh, std::int32_t k, int ranks) {
-    std::vector<double> score(static_cast<std::size_t>(ranks), 0.0);
+    double slowest = 0.0;
     par::runSpmd(ranks, [&](par::Comm& comm) {
         const auto n = static_cast<std::int64_t>(mesh.points.size());
         const std::int64_t lo = n * comm.rank() / ranks;
@@ -52,10 +51,11 @@ double rcbSpmdModeledSeconds(const gen::Mesh2& mesh, std::int32_t k, int ranks) 
         std::vector<Point2> local(mesh.points.begin() + lo, mesh.points.begin() + hi);
         const double cpu0 = comm.cpuSeconds();
         (void)baseline::rcbDistributed<2>(comm, local, {}, k);
-        score[static_cast<std::size_t>(comm.rank())] =
-            (comm.cpuSeconds() - cpu0) + comm.stats().modeledCommSeconds;
+        const double score = comm.allreduceMax((comm.cpuSeconds() - cpu0) +
+                                               comm.stats().modeledCommSeconds);
+        if (par::ownsResult(comm)) slowest = score;
     });
-    return *std::max_element(score.begin(), score.end());
+    return slowest;
 }
 
 /// Serial baseline seconds for the given mesh/k (measured once per size).
@@ -66,18 +66,11 @@ double serialSeconds(const baseline::Tool<2>& tool, const gen::Mesh2& mesh, std:
 }  // namespace
 
 int main(int argc, char** argv) {
-    par::TransportKind transport = par::TransportKind::Auto;
     int ranksArg = 0;
-    const char* usage = " [--transport sim|socket|tcp] [--ranks N]\n";
+    const char* usage = " [--ranks N]\n";
     for (int a = 1; a < argc; ++a) {
         const std::string arg = argv[a];
-        if (arg == "--transport") {
-            if (a + 1 >= argc) {
-                std::cerr << "--transport requires a backend\nusage: " << argv[0] << usage;
-                return 1;
-            }
-            transport = par::parseTransportKind(argv[++a]);
-        } else if (arg == "--ranks") {
+        if (arg == "--ranks") {
             if (a + 1 >= argc) {
                 std::cerr << "--ranks requires a count\nusage: " << argv[0] << usage;
                 return 1;
@@ -111,7 +104,7 @@ int main(int argc, char** argv) {
         const std::int64_t n = 4096LL * p;
         const auto mesh = gen::delaunay2d(n, 100 + static_cast<std::uint64_t>(p));
         std::vector<std::string> row{std::to_string(p), std::to_string(n)};
-        row.push_back(Table::num(geographerModeledSeconds(mesh, p, p, transport), 4));
+        row.push_back(Table::num(geographerModeledSeconds(mesh, p, p), 4));
         row.push_back(Table::num(rcbSpmdModeledSeconds(mesh, p, p), 4));
         for (std::size_t t = 1; t < baseline::tools2().size(); ++t) {
             const auto& tool = baseline::tools2()[t];
@@ -128,7 +121,7 @@ int main(int argc, char** argv) {
     Table strong({"p=k", "geoKmeans[s]", "MJ[s]", "Rcb[s]", "Rib[s]", "Hsfc[s]"});
     for (const int p : procs) {
         std::vector<std::string> row{std::to_string(p)};
-        row.push_back(Table::num(geographerModeledSeconds(big, p, p, transport), 4));
+        row.push_back(Table::num(geographerModeledSeconds(big, p, p), 4));
         for (std::size_t t = 1; t < baseline::tools2().size(); ++t) {
             const auto& tool = baseline::tools2()[t];
             const double serial = serialSeconds(tool, big, p);

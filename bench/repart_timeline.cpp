@@ -17,7 +17,6 @@
 // the serving layer only briefly inconsistent.
 //
 //   ./bench_repart_timeline [points] [steps] [blocks] [ranks]
-//                           [--transport sim|socket|tcp]
 //                           [--mem-budget BYTES] [--json PATH]
 //                           [--checkpoint PATH] [--checkpoint-every K]
 //                           [--resume PATH]
@@ -37,10 +36,11 @@
 // Each step also runs the fault point faultPoint("step", scenario*T + t),
 // so GEO_FAULT can kill a rank at an exact step for the chaos suite.
 //
-// Under `geo_launch -n N -- bench_repart_timeline ... --transport socket`
-// the run spans N real processes: the ranks argument is overridden by the
-// worker count, every process executes the loop in lockstep, and only
-// rank 0 prints tables or writes the JSON.
+// Under `geo_launch -n N -- bench_repart_timeline ...` the run spans N real
+// processes: the ranks argument is overridden by the worker count, every
+// process executes the loop in lockstep, and only rank 0 prints tables or
+// writes the JSON. Its "transport" field names the backend the SPMD runs
+// used (par::RunStats::transport).
 #include <algorithm>
 #include <cstdlib>
 #include <fstream>
@@ -165,7 +165,7 @@ void writeStepJson(std::ostream& out, const char* name, const StepRecord& rec,
 /// BENCH_repart.json: the repartitioning bench trajectory, mirroring
 /// components_breakdown's BENCH_pipeline.json.
 void writeJson(const std::string& path, std::int64_t n, int steps, std::int32_t k,
-               int ranks, geo::par::TransportKind transport, std::uint64_t memBudget,
+               int ranks, const char* transport, std::uint64_t memBudget,
                const std::vector<ScenarioTrace>& traces) {
     std::ofstream out(path);
     if (!out) {
@@ -174,8 +174,8 @@ void writeJson(const std::string& path, std::int64_t n, int steps, std::int32_t 
     }
     out << "{\n  \"bench\": \"repart_timeline\",\n  \"n\": " << n
         << ",\n  \"steps\": " << steps << ",\n  \"k\": " << k
-        << ",\n  \"ranks\": " << ranks << ",\n  \"transport\": \""
-        << geo::bench::resolvedTransportName(transport) << "\",\n  \"processes\": "
+        << ",\n  \"ranks\": " << ranks << ",\n  \"transport\": \"" << transport
+        << "\",\n  \"processes\": "
         << geo::bench::workerProcesses() << ",\n  \"mem_budget_bytes\": " << memBudget
         << ",\n";
     geo::bench::writePeakRssField(out);
@@ -209,13 +209,11 @@ int main(int argc, char** argv) {
     std::int32_t k = 8;
     int ranks = 4;
     std::string jsonPath;
-    par::TransportKind transport = par::TransportKind::Auto;
     std::uint64_t memBudget = 0;
     std::string checkpointPath, resumePath;
     int checkpointEvery = 1;
     const char* usage =
-        " [points] [steps] [blocks] [ranks] [--transport sim|socket|tcp]"
-        " [--mem-budget BYTES] [--json PATH]"
+        " [points] [steps] [blocks] [ranks] [--mem-budget BYTES] [--json PATH]"
         " [--checkpoint PATH] [--checkpoint-every K] [--resume PATH]\n";
     int positional = 0;
     for (int a = 1; a < argc; ++a) {
@@ -245,12 +243,6 @@ int main(int argc, char** argv) {
                 return 1;
             }
             resumePath = argv[++a];
-        } else if (arg == "--transport") {
-            if (a + 1 >= argc) {
-                std::cerr << "--transport requires a backend\nusage: " << argv[0] << usage;
-                return 1;
-            }
-            transport = par::parseTransportKind(argv[++a]);
         } else if (arg == "--mem-budget") {
             if (a + 1 >= argc) {
                 std::cerr << "--mem-budget requires a byte count\nusage: " << argv[0]
@@ -287,8 +279,8 @@ int main(int argc, char** argv) {
 
     core::Settings settings;
     settings.epsilon = 0.03;
-    settings.transport = transport;
     settings.memoryBudgetBytes = memBudget;
+    const char* transport = "sim";  // backend of the latest warm run
 
     std::cout << "Dynamic repartitioning timeline: n=" << n << ", T=" << steps
               << ", k=" << k << ", ranks=" << ranks << "\n\n";
@@ -387,6 +379,7 @@ int main(int argc, char** argv) {
                     step.points, step.weights, k, ranks, settings, warmState);
                 StepRecord rec;
                 rec.seconds = timer.seconds();
+                transport = res.result.runStats.transport;
                 router.publish(serve::PartitionSnapshot<2>::fromResult(
                     res.result, static_cast<std::uint64_t>(t + 1), ranks));
                 if (!staleRouted.empty()) {

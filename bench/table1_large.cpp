@@ -4,13 +4,12 @@
 // analogs at k = 32. Columns: time, cut, maxCommVol, ΣcommVol, diameter,
 // timeSpMVComm — best value per instance/metric marked with '*'.
 //
-//   ./bench_table1_large [--transport sim|socket|tcp] [--ranks N]
+//   ./bench_table1_large [--ranks N]
 //
 // `--ranks N` runs Geographer's SPMD phase at width N (baselines stay
-// serial). The tool registry builds its own Settings, so `--transport`
-// flows through the GEO_TRANSPORT environment fallback; under
-// `geo_launch -n N -- bench_table1_large --transport socket --ranks N`
-// the Geographer rows run on the real multi-process backend.
+// serial). Under `geo_launch -n N -- bench_table1_large` the width is the
+// worker count and the Geographer rows run on the real multi-process
+// backend.
 #include <cstdlib>
 #include <iostream>
 #include <string>
@@ -61,19 +60,10 @@ void printInstance(const std::string& name, std::int64_t n,
 
 int main(int argc, char** argv) {
     int ranks = 1;
-    const char* usage = " [--transport sim|socket|tcp] [--ranks N]\n";
+    const char* usage = " [--ranks N]\n";
     for (int a = 1; a < argc; ++a) {
         const std::string arg = argv[a];
-        if (arg == "--transport") {
-            if (a + 1 >= argc) {
-                std::cerr << "--transport requires a backend\nusage: " << argv[0] << usage;
-                return 1;
-            }
-            // Validate, then hand the choice to the tools through the
-            // GEO_TRANSPORT fallback of Settings::resolvedTransport.
-            const auto kind = par::parseTransportKind(argv[++a]);
-            setenv("GEO_TRANSPORT", par::transportKindName(kind), 1);
-        } else if (arg == "--ranks") {
+        if (arg == "--ranks") {
             if (a + 1 >= argc) {
                 std::cerr << "--ranks requires a count\nusage: " << argv[0] << usage;
                 return 1;

@@ -151,7 +151,7 @@ void spmdBody(par::Comm& comm, std::span<const Point<D>> points,
     for (std::size_t i = 0; i < localGids.size(); ++i)
         mine.push_back(GidBlock{localGids[i], outcome.assignment[i]});
     const auto all = comm.allgatherv(std::span<const GidBlock>(mine));
-    if (detail::ownsResult(comm)) {
+    if (par::ownsResult(comm)) {
         result.partition.assign(static_cast<std::size_t>(n), -1);
         for (const auto& gb : all)
             result.partition[static_cast<std::size_t>(gb.gid)] = gb.block;
@@ -187,7 +187,7 @@ void finishRun(par::Comm& comm, const KMeansOutcome<D>& outcome,
     comm.allreduceMax(std::span<double>(seconds));
     comm.allreduceSum(std::span<std::uint64_t>(sums));
     comm.allreduceMax(std::span<std::uint64_t>(maxima));
-    if (!ownsResult(comm)) return;
+    if (!par::ownsResult(comm)) return;
 
     result.modeledSeconds = seconds[0];
     auto next = seconds.begin() + 1;
@@ -232,7 +232,7 @@ GeographerResult partitionGeographer(std::span<const Point<D>> points,
                 "point coordinates and weights must be finite");
 
     GeographerResult result;
-    par::Machine machine(ranks, model, settings.resolvedTransport());
+    par::Machine machine(ranks, model);
     result.runStats = machine.run([&](par::Comm& comm) {
         spmdBody<D>(comm, points, weights, k, settings, result);
     });

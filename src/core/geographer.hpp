@@ -71,8 +71,9 @@ template <int D>
     return centers;
 }
 
-/// Partition `points` into k blocks with `ranks` simulated MPI processes.
-/// `weights` may be empty (unit weights).
+/// Partition `points` into k blocks with `ranks` SPMD ranks: simulated, or
+/// the geo_launch worker processes when `ranks` is their count
+/// (par::Machine). `weights` may be empty (unit weights).
 template <int D>
 GeographerResult partitionGeographer(std::span<const Point<D>> points,
                                      std::span<const double> weights, std::int32_t k,
@@ -90,9 +91,10 @@ namespace detail {
 
 /// Whether every coordinate and weight is finite: a value precondition of
 /// both partition entry points (this one and repart::repartitionGeographer),
-/// checked before any SPMD run starts. A NaN or infinite value has no
-/// effective distance to compare, and would surface deep in the assignment
-/// kernel as an internal error instead.
+/// checked before any SPMD run starts, and of the serving lookups and churn
+/// ingest (src/serve). A NaN or infinite value has no effective distance to
+/// compare, and would surface deep in the assignment kernel as an internal
+/// error instead.
 template <int D>
 [[nodiscard]] bool allFinite(std::span<const Point<D>> points,
                              std::span<const double> weights) {
@@ -104,24 +106,15 @@ template <int D>
            std::all_of(weights.begin(), weights.end(), finite);
 }
 
-/// Whether this rank fills the GeographerResult of its SPMD run. On the
-/// simulator all rank threads share one result object and rank 0 alone
-/// writes it (no lock: the other threads never touch it); on a
-/// cross-process transport every process owns a private result and fills
-/// its own copy.
-[[nodiscard]] inline bool ownsResult(const par::Comm& comm) noexcept {
-    return comm.isRoot() || comm.crossProcess();
-}
-
 /// The closing collective of both SPMD bodies (the cold pipeline here and
 /// the warm path in src/repart). Three reductions, in this order: max over
 /// [pipelineScore, phase seconds in map-key order], the sum of the
 /// kSummedCounters and the max of the kMaxedCounters. Every other field it
 /// stores is already replicated in `outcome`. On ranks that own the result
-/// it then sets modeledSeconds, phaseSeconds, counters, imbalance,
-/// converged, centerCoords, influence and assignmentInfluence; the
-/// partition gather stays with the caller. Every rank must enter it at the
-/// same point, with the same phase names.
+/// (par::ownsResult) it then sets modeledSeconds, phaseSeconds, counters,
+/// imbalance, converged, centerCoords, influence and assignmentInfluence;
+/// the partition gather stays with the caller. Every rank must enter it at
+/// the same point, with the same phase names.
 template <int D>
 void finishRun(par::Comm& comm, const KMeansOutcome<D>& outcome,
                std::map<std::string, double> phases, double pipelineScore,

@@ -2,8 +2,9 @@
 //
 // Every switch the paper describes as a "tuning parameter" or optimization
 // is independently toggleable so the ablation benches can quantify it. The
-// runtime settings (threads, ranks, transport, memory budget) fall back to
-// their GEO_* variables when unset, read under the support/env.hpp rule.
+// runtime settings (threads, ranks, memory budget) fall back to their GEO_*
+// variables when unset, read under the support/env.hpp rule. The transport
+// is not a setting: par::Machine picks it from how the process was launched.
 #pragma once
 
 #include <algorithm>
@@ -79,23 +80,10 @@ struct Settings {
     /// automatically matches the launched process count.
     int ranks = 0;
 
-    /// Transport backend for the SPMD runs this Settings drives. Auto =
-    /// unset: fall back to GEO_TRANSPORT, then the simulator. Socket/Tcp
-    /// only take effect inside a geo_launch worker whose mesh size matches
-    /// the Machine's rank count; anything else simulates (par::Machine).
-    par::TransportKind transport = par::TransportKind::Auto;
-
     /// The rank count actually used: `ranks` if set, else GEO_RANKS, else 1.
     [[nodiscard]] int resolvedRanks() const {
         if (ranks >= 1) return ranks;
         return par::defaultRanks();
-    }
-
-    /// The transport actually used: `transport` if set, else GEO_TRANSPORT,
-    /// else the simulator. Never returns Auto.
-    [[nodiscard]] par::TransportKind resolvedTransport() const {
-        if (transport != par::TransportKind::Auto) return transport;
-        return par::envTransportKind();
     }
 
     /// Byte budget for the tiled point mirror every assignment sweep and

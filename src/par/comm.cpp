@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <ctime>
 #include <exception>
+#include <mutex>
 #include <thread>
 
 #include "par/transport/sim.hpp"
@@ -40,7 +41,8 @@ RunStats runSim(int ranks, const CostModel& model,
     } else {
         std::vector<std::thread> threads;
         threads.reserve(static_cast<std::size_t>(ranks));
-        std::vector<std::exception_ptr> errors(static_cast<std::size_t>(ranks));
+        std::mutex errorMutex;
+        std::exception_ptr firstError;
         for (int r = 0; r < ranks; ++r) {
             threads.emplace_back([&, r] {
                 SimTransport transport(r, shared);
@@ -49,22 +51,21 @@ RunStats runSim(int ranks, const CostModel& model,
                 try {
                     body(comm);
                 } catch (...) {
-                    errors[static_cast<std::size_t>(r)] = std::current_exception();
-                    // A crashed rank must not deadlock the others; the
-                    // barrier would wait forever. Terminating the run with
-                    // the stored exception is handled after join, but we
-                    // must release peers: abort the whole run instead of
-                    // hanging. Simplest safe policy: keep participating in
-                    // barriers is impossible, so rethrow after join relies
-                    // on the body not crashing mid-collective in tests.
+                    // Record before aborting: the peers' own throws come
+                    // only after abort() wakes them, so the first recorded
+                    // exception is always a rank's original failure.
+                    {
+                        const std::lock_guard lock(errorMutex);
+                        if (!firstError) firstError = std::current_exception();
+                    }
+                    shared.barrier.abort();
                 }
                 cpuSeconds[static_cast<std::size_t>(r)] =
                     detail::threadCpuSeconds() - cpu0;
             });
         }
         for (auto& t : threads) t.join();
-        for (auto& e : errors)
-            if (e) std::rethrow_exception(e);
+        if (firstError) std::rethrow_exception(firstError);
     }
 
     RunStats out;
@@ -99,6 +100,7 @@ RunStats runProcess(Transport& transport, const CostModel& model,
     out.maxModeledCommSeconds = stats.modeledCommSeconds;
     out.totalBytes = stats.bytesSent;
     out.collectives = stats.collectives;
+    out.transport = transport.name();
     transport.allreduce(&out.maxCpuSeconds, 1, DType::F64, ReduceOp::Max);
     transport.allreduce(&out.maxModeledCommSeconds, 1, DType::F64, ReduceOp::Max);
     transport.allreduce(&out.totalBytes, 1, DType::U64, ReduceOp::Sum);
@@ -108,27 +110,22 @@ RunStats runProcess(Transport& transport, const CostModel& model,
 
 }  // namespace
 
-Machine::Machine(int ranks, CostModel model, TransportKind kind)
-    : ranks_(ranks), model_(model), kind_(kind) {
+Machine::Machine(int ranks, CostModel model) : ranks_(ranks), model_(model) {
     GEO_REQUIRE(ranks >= 1, "need at least one rank");
 }
 
 RunStats Machine::run(const std::function<void(Comm&)>& body) {
-    TransportKind kind = kind_ == TransportKind::Auto ? envTransportKind() : kind_;
-    if (kind == TransportKind::Socket || kind == TransportKind::Tcp) {
-        ensureWorkerTransport();  // no-op outside a geo_launch worker
-        if (Transport* transport = acquireProcessTransport(ranks_))
-            return runProcess(*transport, model_, body);
-        // No worker transport of this size available (not a geo_launch
-        // worker, rank-count mismatch, or an enclosing run holds the lease):
-        // simulate. Nested sub-communicators land here by design.
-    }
+    ensureWorkerTransport();  // no-op outside a geo_launch worker
+    if (Transport* transport = acquireProcessTransport(ranks_))
+        return runProcess(*transport, model_, body);
+    // No mesh of this width free (not a geo_launch worker, another width,
+    // or an enclosing run holds the lease): simulate. Nested
+    // sub-communicators land here by design.
     return runSim(ranks_, model_, body);
 }
 
-RunStats runSpmd(int ranks, const std::function<void(Comm&)>& body, CostModel model,
-                 TransportKind kind) {
-    Machine machine(ranks, model, kind);
+RunStats runSpmd(int ranks, const std::function<void(Comm&)>& body, CostModel model) {
+    Machine machine(ranks, model);
     return machine.run(body);
 }
 

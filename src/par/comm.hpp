@@ -6,10 +6,10 @@
 // allreduce (sum/min/max), broadcast, allgather(v), alltoallv, exscan.
 //
 // Comm is the typed, stats-accounted face; the byte moving underneath is a
-// `Transport` (par/transport/transport.hpp) selected per Machine run:
-// either the in-process thread-SPMD simulator (ranks are threads — the
-// deterministic default) or the multi-process socket backend installed by a
-// geo_launch worker. Algorithms never see the difference: collective
+// `Transport` (par/transport/transport.hpp) chosen per Machine run from how
+// the process was launched: the multi-process socket backend of a
+// geo_launch worker, or the in-process thread-SPMD simulator (ranks are
+// threads) everywhere else. Algorithms never see the difference: collective
 // semantics match MPI, reductions fold in rank order 0..p-1 on every
 // backend, and CommStats are computed HERE from logical payload sizes and
 // the CostModel, so bytes/rounds/modeled-seconds are identical no matter
@@ -69,6 +69,7 @@ struct RunStats {
     double maxModeledCommSeconds = 0; ///< slowest rank's modeled comm time
     std::uint64_t totalBytes = 0;     ///< sum of bytes sent by all ranks
     std::uint64_t collectives = 0;    ///< collectives per rank (same on all)
+    const char* transport = "sim";    ///< backend that carried the run (Transport::name)
 
     /// Modeled parallel makespan: slowest compute + slowest communication.
     [[nodiscard]] double modeledSeconds() const noexcept {
@@ -235,23 +236,35 @@ private:
     CommStats* stats_;
 };
 
-/// Owns an SPMD execution: resolves a transport backend and runs the given
-/// body once per logical rank with a rank-local Comm. Usable repeatedly;
-/// each run() returns aggregated statistics.
+/// Whether this rank fills the result object of its SPMD run. On the
+/// simulator all rank threads share one result object and rank 0 alone
+/// writes it (no lock: the other threads never touch it); on a
+/// cross-process transport every process owns a private result and fills
+/// its own copy. Every rank reduces the values it contributes through Comm
+/// first, so an owner writes the same numbers on either backend.
+[[nodiscard]] inline bool ownsResult(const Comm& comm) noexcept {
+    return comm.isRoot() || comm.crossProcess();
+}
+
+/// Owns an SPMD execution: picks the backend and runs the given body once
+/// per logical rank with a rank-local Comm. Usable repeatedly; each run()
+/// returns aggregated statistics.
 ///
-/// Backend resolution per run: `kind` Auto defers to GEO_TRANSPORT (unset →
-/// simulator). Socket/Tcp claim the process-wide transport installed by
-/// geo_launch — available, size-matched and not already leased by an
-/// enclosing run — and execute the body ONCE on this process's rank;
-/// otherwise the run silently falls back to the thread simulator, which
-/// keeps single-rank helpers, hier's nested sub-partitions and plain test
-/// binaries working unchanged inside or outside a worker.
+/// The backend follows from the process, as an MPI rank's network follows
+/// from mpirun: a geo_launch worker (GEO_RANK set) runs the body ONCE, on
+/// its own rank, over the process-wide socket mesh when the mesh width
+/// equals `ranks` and no enclosing run holds the mesh. Every other run —
+/// outside a worker, at another width, or nested inside a run — uses the
+/// thread simulator, which keeps single-rank helpers, hier's nested
+/// sub-partitions and plain test binaries working unchanged inside or
+/// outside a worker. Outside a worker no other variable is read.
 class Machine {
 public:
-    explicit Machine(int ranks, CostModel model = {},
-                     TransportKind kind = TransportKind::Auto);
+    explicit Machine(int ranks, CostModel model = {});
 
-    /// Run the SPMD body on all ranks; rethrows the first rank exception.
+    /// Run the SPMD body on all ranks. When a rank throws, the simulator
+    /// releases its peers from the collective they wait in (they throw
+    /// too) and run() rethrows the first failing rank's own exception.
     RunStats run(const std::function<void(Comm&)>& body);
 
     [[nodiscard]] int ranks() const noexcept { return ranks_; }
@@ -259,11 +272,9 @@ public:
 private:
     int ranks_;
     CostModel model_;
-    TransportKind kind_;
 };
 
 /// Convenience: single SPMD run.
-RunStats runSpmd(int ranks, const std::function<void(Comm&)>& body,
-                 CostModel model = {}, TransportKind kind = TransportKind::Auto);
+RunStats runSpmd(int ranks, const std::function<void(Comm&)>& body, CostModel model = {});
 
 }  // namespace geo::par

@@ -20,6 +20,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
+#include <stdexcept>
 #include <vector>
 
 #include "par/transport/transport.hpp"
@@ -30,29 +31,44 @@ namespace detail {
 
 /// Central sense-reversing barrier (condition-variable based, so waiting
 /// ranks release the core — essential when simulating many ranks on few
-/// cores).
+/// cores). Abortable: once a rank of the run has failed, abort() wakes
+/// every waiter and each one — like every later arrival — throws instead
+/// of waiting for a rank that will never come.
 class Barrier {
 public:
     explicit Barrier(int parties) : parties_(parties) {}
 
     void arriveAndWait() {
         std::unique_lock lock(mutex_);
+        if (aborted_) throwAborted();
         const std::uint64_t gen = generation_;
         if (++arrived_ == parties_) {
             arrived_ = 0;
             ++generation_;
             cv_.notify_all();
         } else {
-            cv_.wait(lock, [&] { return generation_ != gen; });
+            cv_.wait(lock, [&] { return generation_ != gen || aborted_; });
+            if (generation_ == gen) throwAborted();
         }
     }
 
+    void abort() {
+        const std::lock_guard lock(mutex_);
+        aborted_ = true;
+        cv_.notify_all();
+    }
+
 private:
+    [[noreturn]] static void throwAborted() {
+        throw std::runtime_error("SPMD run aborted: another rank failed");
+    }
+
     std::mutex mutex_;
     std::condition_variable cv_;
     int parties_;
     int arrived_ = 0;
     std::uint64_t generation_ = 0;
+    bool aborted_ = false;
 };
 
 }  // namespace detail

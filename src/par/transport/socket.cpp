@@ -735,15 +735,18 @@ std::vector<std::byte> SocketTransport::alltoallv(std::span<const ConstBuf> send
 std::optional<SocketConfig> workerSocketConfig() {
     const int rank = workerRank();
     if (rank < 0) return std::nullopt;
-    const TransportKind kind = envTransportKind();
-    if (kind != TransportKind::Socket && kind != TransportKind::Tcp) return std::nullopt;
     SocketConfig cfg;
     cfg.rank = rank;
     cfg.ranks = defaultRanks();
-    cfg.tcp = kind == TransportKind::Tcp;
     cfg.dir = support::env::parse("GEO_SOCKET_DIR", std::string{},
                                   [](const std::string& dir) { return dir; });
     cfg.portBase = support::env::integer("GEO_PORT_BASE", 0, 1, 65536 - cfg.ranks);
+    cfg.tcp = cfg.portBase > 0;
+    if (cfg.tcp == !cfg.dir.empty())
+        throw std::invalid_argument(
+            std::string("a geo_launch worker needs exactly one of GEO_SOCKET_DIR (Unix "
+                        "sockets) and GEO_PORT_BASE (TCP); ") +
+            (cfg.tcp ? "both are set" : "neither is set"));
     return cfg;
 }
 

@@ -2,11 +2,11 @@
 //
 // Each rank is an OS process launched by tools/geo_launch. The mesh is
 // fully connected: every pair of ranks shares one stream socket —
-// Unix-domain by default (paths under GEO_SOCKET_DIR), TCP loopback when
-// GEO_TRANSPORT=tcp (ports GEO_PORT_BASE + rank). Rank r listens on its own
-// endpoint, dials every lower rank, and accepts from every higher rank; a
-// handshake frame on each new connection pins the peer's identity before
-// any collective traffic flows.
+// Unix-domain (paths under GEO_SOCKET_DIR) or TCP loopback (ports
+// GEO_PORT_BASE + rank), whichever address geo_launch exported. Rank r
+// listens on its own endpoint, dials every lower rank, and accepts from
+// every higher rank; a handshake frame on each new connection pins the
+// peer's identity before any collective traffic flows.
 //
 // Wire protocol: length-prefixed frames
 //
@@ -116,10 +116,12 @@ private:
     int connectDeadlineMs_ = 0;  ///< GEO_CONNECT_TIMEOUT_MS
 };
 
-/// The geo_launch worker environment as a SocketConfig: GEO_RANK, GEO_RANKS,
-/// GEO_TRANSPORT, GEO_SOCKET_DIR and GEO_PORT_BASE (in [1, 65536 - ranks]).
-/// std::nullopt when this process is not a socket worker (GEO_RANK unset,
-/// or GEO_TRANSPORT neither socket nor tcp).
+/// The geo_launch worker environment as a SocketConfig: GEO_RANK, GEO_RANKS
+/// and the mesh address — TCP when GEO_PORT_BASE (in [1, 65536 - ranks]) is
+/// set, Unix-domain sockets in GEO_SOCKET_DIR otherwise. std::nullopt when
+/// this process is not a worker (GEO_RANK unset); nothing else is read
+/// then. A worker with both or neither address variable set throws
+/// std::invalid_argument naming them.
 [[nodiscard]] std::optional<SocketConfig> workerSocketConfig();
 
 /// Construct and install the process-wide SocketTransport from

@@ -54,31 +54,13 @@ int defaultConnectTimeoutMs() {
     return support::env::integer("GEO_CONNECT_TIMEOUT_MS", 30000, 0, kMaxTimeoutMs);
 }
 
-TransportKind parseTransportKind(std::string_view name) {
-    if (name == "sim") return TransportKind::Sim;
-    if (name == "socket") return TransportKind::Socket;
-    if (name == "tcp") return TransportKind::Tcp;
-    throw std::invalid_argument("unknown transport '" + std::string(name) +
-                                "' (use sim, socket, or tcp)");
-}
-
-const char* transportKindName(TransportKind kind) noexcept {
-    switch (kind) {
-        case TransportKind::Auto: return "auto";
-        case TransportKind::Sim: return "sim";
-        case TransportKind::Socket: return "socket";
-        case TransportKind::Tcp: return "tcp";
-    }
-    return "?";
-}
-
-TransportKind envTransportKind() {
-    return support::env::parse("GEO_TRANSPORT", TransportKind::Sim, parseTransportKind);
-}
-
 int defaultRanks() { return support::env::integer("GEO_RANKS", 1, 1, kMaxRanks); }
 
-int workerRank() { return support::env::integer("GEO_RANK", -1, 0, defaultRanks() - 1); }
+int workerRank() {
+    return support::env::parse("GEO_RANK", -1, [](const std::string& value) {
+        return support::env::parseInteger(value, 0, defaultRanks() - 1);
+    });
+}
 
 std::size_t dtypeSize(DType type) noexcept {
     switch (type) {

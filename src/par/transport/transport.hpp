@@ -3,7 +3,7 @@
 // `Comm` carries the typed, stats-accounted API the algorithms program
 // against (barrier, allreduce sum/min/max, broadcast, allgather(v),
 // alltoallv, exscan). A Transport is the byte-level engine underneath it,
-// selected at runtime:
+// chosen per Machine run by how the process was launched (par/comm.hpp):
 //
 //   * SimTransport (sim.hpp)    — the original in-process thread-SPMD
 //     simulator: ranks are threads, collectives move bytes through shared
@@ -28,7 +28,6 @@
 #include <span>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 #include <vector>
 
 namespace geo::par {
@@ -82,26 +81,12 @@ public:
 /// handshake accepts), same range and default.
 [[nodiscard]] int defaultConnectTimeoutMs();
 
-/// Which transport a Machine run should use. Auto defers to the
-/// GEO_TRANSPORT environment variable (unset → Sim). Socket/Tcp are the
-/// same backend over different address families; both require the process
-/// to have been launched as a geo_launch worker (GEO_RANK/GEO_RANKS set) —
-/// outside a worker, Machine falls back to the simulator.
-enum class TransportKind : std::uint8_t { Auto, Sim, Socket, Tcp };
-
-/// Parse a GEO_TRANSPORT value ("sim", "socket", "tcp"); throws
-/// std::invalid_argument on anything else.
-[[nodiscard]] TransportKind parseTransportKind(std::string_view name);
-[[nodiscard]] const char* transportKindName(TransportKind kind) noexcept;
-
-/// GEO_TRANSPORT: the parsed value, Sim when unset.
-[[nodiscard]] TransportKind envTransportKind();
-
 /// GEO_RANKS: the SPMD rank count, in [1, 1024]; 1 when unset.
 [[nodiscard]] int defaultRanks();
 
 /// GEO_RANK: this process's rank in a geo_launch mesh, in [0, GEO_RANKS);
-/// -1 when unset (the process is not a worker).
+/// -1 when unset (the process is not a worker). GEO_RANKS is read only
+/// when GEO_RANK is set.
 [[nodiscard]] int workerRank();
 
 /// Element types a typed reduction can fold. Deliberately a closed set:
@@ -181,12 +166,12 @@ public:
 };
 
 /// Process-wide transport registry. A geo_launch worker installs its
-/// SocketTransport here at startup (setProcessTransport); Machine runs with
-/// kind Socket/Tcp claim it for the duration of one SPMD run. The lease is
-/// exclusive — a nested Machine run inside an SPMD body (hier's per-node
-/// sub-partitions, single-rank helpers) finds the transport busy and falls
-/// back to the in-process simulator, which is exactly the desired
-/// redundant-but-deterministic behavior for sub-communicators.
+/// SocketTransport here on its first Machine run (setProcessTransport);
+/// every Machine run whose width matches claims it for the duration of
+/// that run. The lease is exclusive — a nested Machine run inside an SPMD
+/// body (hier's per-node sub-partitions, single-rank helpers) finds the
+/// transport busy and runs on the in-process simulator, which is exactly
+/// the desired redundant-but-deterministic behavior for sub-communicators.
 void setProcessTransport(Transport* transport) noexcept;
 [[nodiscard]] Transport* processTransport() noexcept;
 

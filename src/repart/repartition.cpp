@@ -137,7 +137,7 @@ void warmBody(par::Comm& comm, std::span<const Point<D>> points,
     // Rank slices are contiguous in input order, so the rank-ordered
     // concatenation of local assignments IS the global partition.
     auto all = comm.allgatherv(std::span<const std::int32_t>(outcome.assignment));
-    if (core::detail::ownsResult(comm)) result.partition = std::move(all);
+    if (par::ownsResult(comm)) result.partition = std::move(all);
     std::map<std::string, double> phases{{"kmeans", kmeansSeconds},
                                          {"assign", outcome.assignSeconds},
                                          {"update", outcome.updateSeconds}};
@@ -179,7 +179,7 @@ RepartResult<D> repartitionGeographer(std::span<const Point<D>> points,
     }
 
     if (warm) {
-        par::Machine machine(ranks, model, settings.resolvedTransport());
+        par::Machine machine(ranks, model);
         out.result.runStats = machine.run([&](par::Comm& comm) {
             warmBody<D>(comm, points, weights, settings, state, out.result);
         });

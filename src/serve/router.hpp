@@ -139,7 +139,9 @@ public:
 
     [[nodiscard]] bool hasSnapshot() const { return snapshot() != nullptr; }
 
-    /// Low-latency single lookup against the current snapshot.
+    /// Low-latency single lookup against the current snapshot. Like every
+    /// lookup, throws std::invalid_argument on a NaN or infinite coordinate
+    /// (PartitionSnapshot::blockOf).
     [[nodiscard]] std::int32_t route(const Point<D>& p) const;
 
     /// Batched lookup: `blocks[i]` = block of `points[i]`, computed against

@@ -118,6 +118,13 @@ void PartitionService<D>::stop() {
 
 template <int D>
 bool PartitionService<D>::submit(std::vector<repart::ChurnEvent<D>> events) {
+    GEO_REQUIRE(std::all_of(events.begin(), events.end(),
+                            [](const repart::ChurnEvent<D>& e) {
+                                return core::detail::allFinite<D>(
+                                    std::span<const Point<D>>(&e.point, 1),
+                                    std::span<const double>(&e.weight, 1));
+                            }),
+                "churn event points and weights must be finite");
     if (events.empty()) return !stopped_.load(std::memory_order_acquire);
     {
         std::unique_lock<std::mutex> lock(queueMutex_);
@@ -136,24 +143,6 @@ bool PartitionService<D>::submit(std::vector<repart::ChurnEvent<D>> events) {
             blockedProducers_.fetch_sub(1, std::memory_order_relaxed);
         }
         if (stopped_.load(std::memory_order_acquire)) return false;
-        queuedEvents_ += events.size();
-        queueDepth_.store(queuedEvents_, std::memory_order_relaxed);
-        queue_.push_back(std::move(events));
-    }
-    queueNotEmpty_.notify_one();
-    evaluateState();
-    return true;
-}
-
-template <int D>
-bool PartitionService<D>::trySubmit(std::vector<repart::ChurnEvent<D>> events) {
-    if (events.empty()) return !stopped_.load(std::memory_order_acquire);
-    {
-        const std::lock_guard<std::mutex> lock(queueMutex_);
-        if (stopped_.load(std::memory_order_acquire)) return false;
-        if (queuedEvents_ > 0 &&
-            queuedEvents_ + events.size() > config_.slo.ingestQueueBound)
-            return false;
         queuedEvents_ += events.size();
         queueDepth_.store(queuedEvents_, std::memory_order_relaxed);
         queue_.push_back(std::move(events));

@@ -200,17 +200,17 @@ public:
     /// Enqueue a churn batch, BLOCKING while the queue is at its event
     /// bound (backpressure). Returns false when the service is stopped
     /// (the batch is not enqueued). Empty batches return true immediately.
+    /// Throws std::invalid_argument, enqueuing nothing, when any event's
+    /// point or weight is NaN or infinite: applied, it would fail every
+    /// later repartition's input check and freeze the served epoch.
     bool submit(std::vector<repart::ChurnEvent<D>> events);
-
-    /// Non-blocking submit: false when admission would have blocked (or the
-    /// service is stopped) — what a producer that prefers dropping to
-    /// stalling calls.
-    bool trySubmit(std::vector<repart::ChurnEvent<D>> events);
 
     /// Batched query against the current snapshot. Admission may shed
     /// Low-priority batches (RouteStatus::Overloaded; `blocks` is then
     /// untouched). Never throws on a poisoned router — that surfaces as
-    /// RouteStatus::Poisoned. Thread-safe; this IS the query frontier.
+    /// RouteStatus::Poisoned. A NaN or infinite query coordinate throws
+    /// std::invalid_argument (PartitionSnapshot::blockOf). Thread-safe;
+    /// this IS the query frontier.
     RouteTicket route(std::span<const Point<D>> points,
                       std::span<std::int32_t> blocks,
                       QueryPriority priority = QueryPriority::High) const;

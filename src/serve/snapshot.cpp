@@ -1,6 +1,7 @@
 #include "serve/snapshot.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <limits>
@@ -15,6 +16,10 @@ namespace geo::serve {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// Every lookup rejects a NaN or infinite coordinate: it has no effective
+/// distance to compare, and the kernel would answer it with block 0.
+constexpr const char* kNonFiniteQuery = "query point coordinates must be finite";
 
 /// Points per batch tile — matches the assignment engine's cache block, so
 /// the kernel's working set (SoA lanes + best/bestC) stays L1/L2 resident.
@@ -208,6 +213,8 @@ std::int32_t PartitionSnapshot<D>::rankOf(std::int32_t block) const {
 /// and tie rule.
 template <int D>
 std::int32_t PartitionSnapshot<D>::blockOf(const Point<D>& p) const {
+    GEO_REQUIRE(core::detail::allFinite<D>(std::span<const Point<D>>(&p, 1), {}),
+                kNonFiniteQuery);
     if (tree_) return tree_->nearest(p);
     std::int64_t node = 0;
     for (const Level& level : levels_) {
@@ -246,11 +253,16 @@ void PartitionSnapshot<D>::routeTile(const Point<D>* pts, std::size_t count,
     double gx[static_cast<std::size_t>(D)][kRouteTile];
     double best2[kRouteTile];
     double bestC[kRouteTile];
+    bool finite = true;
     for (std::size_t i = 0; i < count; ++i) {
-        for (int d = 0; d < D; ++d) gx[static_cast<std::size_t>(d)][i] = pts[i][d];
+        for (int d = 0; d < D; ++d) {
+            gx[static_cast<std::size_t>(d)][i] = pts[i][d];
+            finite &= std::isfinite(pts[i][d]);
+        }
         best2[i] = kInf;
         bestC[i] = 0.0;
     }
+    GEO_REQUIRE(finite, kNonFiniteQuery);
     core::TileLanes<D> lanes;
     for (std::size_t d = 0; d < static_cast<std::size_t>(D); ++d) lanes.x[d] = gx[d];
     lanes.best2 = best2;

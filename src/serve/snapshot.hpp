@@ -121,14 +121,17 @@ public:
     [[nodiscard]] std::int32_t rankOf(std::int32_t block) const;
 
     /// Block owning `p`: the argmin of dist²(p, center) · 1/influence² per
-    /// level (low-latency single-point path).
+    /// level (low-latency single-point path). Throws std::invalid_argument
+    /// when a coordinate is NaN or infinite.
     [[nodiscard]] std::int32_t blockOf(const Point<D>& p) const;
 
     /// Batched lookup: `blocks[i]` = block of `points[i]`. Serial but
     /// cache-blocked — fixed 1024-point tiles through the branchless
     /// centers-outer / points-inner tile kernel (the Router fans tiles out
     /// over its worker threads). Per-point results are independent, so any
-    /// split of the input produces identical output.
+    /// split of the input produces identical output. Throws
+    /// std::invalid_argument when a coordinate is NaN or infinite; the
+    /// blocks of tiles before the offending one are already written.
     void blockOf(std::span<const Point<D>> points,
                  std::span<std::int32_t> blocks) const;
 

@@ -1,8 +1,9 @@
 #include "spmv/dist_spmv.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
-#include <numeric>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -44,16 +45,7 @@ DistSpmvTiming runSpmvDistributed(const graph::CsrGraph& g, const graph::Partiti
     DistSpmvTiming timing;
     timing.iterations = iterations;
 
-    std::vector<double> perRankCpu(static_cast<std::size_t>(ranks), 0.0);
-    std::vector<double> checksums(static_cast<std::size_t>(ranks), 0.0);
-    std::vector<std::uint64_t> haloBytes(static_cast<std::size_t>(ranks), 0);
-    std::vector<double> modeledComm(static_cast<std::size_t>(ranks), 0.0);
-    std::vector<std::int64_t> ghosts(static_cast<std::size_t>(ranks), 0);
-
-    // Pinned to the simulator: the body assembles per-rank timing vectors
-    // through shared memory (perRankCpu, checksums, ...), which a
-    // cross-process transport cannot provide.
-    par::Machine machine(ranks, model, par::TransportKind::Sim);
+    par::Machine machine(ranks, model);
     machine.run([&](par::Comm& comm) {
         const int r = comm.rank();
         const int p = comm.size();
@@ -143,22 +135,24 @@ DistSpmvTiming runSpmvDistributed(const graph::CsrGraph& g, const graph::Partiti
         double checksum = 0.0;
         for (const auto v : st.x) checksum += v;
 
-        perRankCpu[static_cast<std::size_t>(r)] = comm.cpuSeconds() - cpu0;
-        checksums[static_cast<std::size_t>(r)] = checksum;
-        haloBytes[static_cast<std::size_t>(r)] = myHaloBytes;
-        modeledComm[static_cast<std::size_t>(r)] = comm.stats().modeledCommSeconds;
-        ghosts[static_cast<std::size_t>(r)] = myGhosts;
-    });
+        // Snapshot this rank's cost before the closing reductions, which
+        // are bookkeeping, not SpMV; they fold in rank order, so the sums
+        // equal the serial accumulation over ranks bitwise.
+        std::array<double, 2> maxima{comm.cpuSeconds() - cpu0,
+                                     comm.stats().modeledCommSeconds};
+        std::array<std::int64_t, 2> sums{static_cast<std::int64_t>(myHaloBytes), myGhosts};
+        comm.allreduceMax(std::span<double>(maxima));
+        checksum = comm.allreduceSum(checksum);
+        comm.allreduceSum(std::span<std::int64_t>(sums));
+        if (!par::ownsResult(comm)) return;
 
-    timing.computeSecondsPerIteration =
-        *std::max_element(perRankCpu.begin(), perRankCpu.end()) / iterations;
-    timing.commSecondsPerIteration =
-        *std::max_element(modeledComm.begin(), modeledComm.end()) / iterations;
-    timing.checksum = std::accumulate(checksums.begin(), checksums.end(), 0.0);
-    timing.haloBytesPerIteration =
-        std::accumulate(haloBytes.begin(), haloBytes.end(), std::uint64_t{0}) /
-        static_cast<std::uint64_t>(iterations);
-    timing.totalGhosts = std::accumulate(ghosts.begin(), ghosts.end(), std::int64_t{0});
+        timing.computeSecondsPerIteration = maxima[0] / iterations;
+        timing.commSecondsPerIteration = maxima[1] / iterations;
+        timing.checksum = checksum;
+        timing.haloBytesPerIteration =
+            static_cast<std::uint64_t>(sums[0]) / static_cast<std::uint64_t>(iterations);
+        timing.totalGhosts = sums[1];
+    });
     return timing;
 }
 

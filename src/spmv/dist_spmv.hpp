@@ -1,13 +1,14 @@
-// SPMD distributed SpMV over the simulated message-passing runtime.
+// SPMD distributed SpMV over the message-passing runtime.
 //
 // The paper measures SpMV communication time with real MPI ranks: the graph
 // is redistributed according to the partition, each process owns the rows
 // of its blocks, and every multiplication starts with a halo exchange of
-// ghost values. This module reproduces that setup end-to-end on the
-// simulated runtime: blocks are mapped to ranks, each rank extracts its
-// local subgraph, halos move through Comm::alltoallv, and per-rank CPU and
-// modeled network time are reported — the distributed counterpart of the
-// plan-based `runSpmv`.
+// ghost values. This module reproduces that setup end-to-end on par::Comm —
+// the simulator, or real processes under geo_launch: blocks are mapped to
+// ranks, each rank extracts its local subgraph, halos move through
+// Comm::alltoallv, and the per-rank CPU and modeled network times are
+// reduced through Comm, so every backend reports the same figures — the
+// distributed counterpart of the plan-based `runSpmv`.
 #pragma once
 
 #include <cstdint>

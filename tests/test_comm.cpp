@@ -1,8 +1,17 @@
 #include <gtest/gtest.h>
+#include <signal.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <cstdio>
+#include <functional>
 #include <numeric>
+#include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "par/comm.hpp"
@@ -179,6 +188,78 @@ TEST(Machine, PropagatesBodyExceptions) {
     geo::par::Machine machine(1);
     EXPECT_THROW(machine.run([](Comm&) { throw std::runtime_error("rank failure"); }),
                  std::runtime_error);
+}
+
+/// The collective the surviving ranks wait in while one rank fails.
+enum class Collective { Barrier, Allreduce, Alltoallv };
+
+/// Runs `ranks` simulated ranks where rank `failing` throws before its
+/// first collective while every other rank enters `collective`; returns
+/// the message of the exception runSpmd rethrew.
+std::string failingRunMessage(int ranks, int failing, Collective collective) {
+    try {
+        runSpmd(ranks, [=](Comm& comm) {
+            if (comm.rank() == failing)
+                throw std::runtime_error("rank " + std::to_string(failing) + " failed");
+            switch (collective) {
+                case Collective::Barrier: comm.barrier(); break;
+                case Collective::Allreduce: (void)comm.allreduceSum(1.0); break;
+                case Collective::Alltoallv: {
+                    const std::vector<std::vector<int>> sendTo(
+                        static_cast<std::size_t>(ranks), std::vector<int>(3, comm.rank()));
+                    (void)comm.alltoallv(sendTo);
+                    break;
+                }
+            }
+        });
+    } catch (const std::exception& e) {
+        return e.what();
+    }
+    return "no exception";
+}
+
+/// Runs `check` in a forked child and returns its exit code, or -1 when
+/// the child has not exited after `seconds` (it is then killed): a hung
+/// SPMD run fails its test instead of hanging the suite.
+int exitCodeWithin(double seconds, const std::function<int()>& check) {
+    const pid_t pid = ::fork();
+    if (pid == 0) ::_exit(check());
+    const auto deadline = std::chrono::steady_clock::now() +
+                          std::chrono::duration<double>(seconds);
+    int status = 0;
+    while (::waitpid(pid, &status, WNOHANG) == 0) {
+        if (std::chrono::steady_clock::now() > deadline) {
+            ::kill(pid, SIGKILL);
+            ::waitpid(pid, nullptr, 0);
+            return -1;
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    return WIFEXITED(status) ? WEXITSTATUS(status) : 128 + WTERMSIG(status);
+}
+
+TEST(Machine, ThrowingRankReleasesItsPeers) {
+    const int code = exitCodeWithin(10.0, [] {
+        int failures = 0;
+        for (const Collective collective :
+             {Collective::Barrier, Collective::Allreduce, Collective::Alltoallv}) {
+            for (const int ranks : {2, 3, 4}) {
+                for (const int failing : {0, ranks - 1}) {
+                    // The failing rank's own exception, never a released peer's.
+                    const std::string want = "rank " + std::to_string(failing) + " failed";
+                    const std::string got = failingRunMessage(ranks, failing, collective);
+                    if (got == want) continue;
+                    std::fprintf(stderr, "collective %d, %d ranks: rethrew '%s', want '%s'\n",
+                                 static_cast<int>(collective), ranks, got.c_str(),
+                                 want.c_str());
+                    ++failures;
+                }
+            }
+        }
+        return failures;
+    });
+    EXPECT_NE(code, -1) << "a failing rank left its peers waiting for 10 s";
+    EXPECT_EQ(code, 0);
 }
 
 TEST(Machine, RejectsNonPositiveRankCount) {

@@ -138,7 +138,6 @@ MeshRun runMesh(const std::string& worker, int spawn, int mesh,
         if (pid == 0) {
             ::setenv("GEO_RANK", std::to_string(r).c_str(), 1);
             ::setenv("GEO_RANKS", std::to_string(mesh).c_str(), 1);
-            ::setenv("GEO_TRANSPORT", "socket", 1);
             ::setenv("GEO_SOCKET_DIR", dir, 1);
             for (const auto& var : extraEnv)
                 if (var.rank < 0 || var.rank == r)
@@ -275,7 +274,6 @@ int timelineWorkerMain(const char* outPath, const char* ckptPath, bool resume) {
 
         geo::core::Settings settings;
         settings.threads = 1;
-        settings.transport = geo::par::TransportKind::Sim;
         const std::int32_t k = 6;
         const int ranks = 2;
 
@@ -775,9 +773,8 @@ int main(int argc, char** argv) {
     // gtest mode: scrub the worker/fault environment so in-process legs
     // stay on the simulator and child meshes start from a clean slate.
     for (const char* var :
-         {"GEO_RANK", "GEO_RANKS", "GEO_TRANSPORT", "GEO_SOCKET_DIR",
-          "GEO_PORT_BASE", "GEO_FAULT", "GEO_COMM_TIMEOUT_MS",
-          "GEO_CONNECT_TIMEOUT_MS", "GEO_RESTART_ATTEMPT"})
+         {"GEO_RANK", "GEO_RANKS", "GEO_SOCKET_DIR", "GEO_PORT_BASE", "GEO_FAULT",
+          "GEO_COMM_TIMEOUT_MS", "GEO_CONNECT_TIMEOUT_MS", "GEO_RESTART_ATTEMPT"})
         unsetenv(var);
 
     ::testing::InitGoogleTest(&argc, argv);

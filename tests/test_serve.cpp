@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <limits>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -479,6 +480,58 @@ TEST(ServeSnapshot, DuplicateCentersAndBisectorTiesRouteToLowestId) {
 
 TEST(ServeSnapshot, DuplicateCentersAndBisectorTiesRouteToLowestIdThroughKdTree) {
     expectTiesRouteToLowestId(PartitionSnapshot<2>::kKdTreeFromK - 3);
+}
+
+/// Every lookup entry point of `snap` (and of a router serving it) must
+/// reject `bad` with std::invalid_argument — alone, and inside a batch
+/// whose offending point sits in the second 1024-point tile.
+void expectNonFiniteRejected(const PartitionSnapshot<2>& snap, const Point2& bad,
+                             const char* label) {
+    SCOPED_TRACE(label);
+    EXPECT_THROW((void)snap.blockOf(bad), std::invalid_argument);
+    std::vector<Point2> batch(2000, Point2{{0.5, 0.5}});
+    batch[1500] = bad;
+    std::vector<std::int32_t> out(batch.size(), -1);
+    EXPECT_THROW(snap.blockOf(batch, out), std::invalid_argument);
+
+    Router<2> router(/*threads=*/2);
+    router.publish(snap);
+    EXPECT_THROW((void)router.route(bad), std::invalid_argument);
+    EXPECT_THROW((void)router.routeRank(bad), std::invalid_argument);
+    EXPECT_THROW(router.route(batch, out), std::invalid_argument);
+}
+
+TEST(ServeSnapshot, NonFiniteQueriesAreRejectedOnEveryPath) {
+    // (NaN, 0.95) once answered block 0 with its finite coordinate next to
+    // center 1: every e2 is NaN, so each lookup kept its initial id.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    const std::vector<Point2> bad{Point2{{nan, 0.95}}, Point2{{0.95, inf}},
+                                  Point2{{-inf, 0.5}}};
+
+    std::vector<Point2> centers{Point2{{0.1, 0.1}}, Point2{{0.9, 0.9}}};
+    const auto flat = PartitionSnapshot<2>::fromCenters(
+        std::span<const Point2>(centers), std::vector<double>(centers.size(), 1.0));
+    for (std::int32_t i = 0; centers.size() < PartitionSnapshot<2>::kKdTreeFromK; ++i)
+        centers.push_back(Point2{{100.0 + i % 16, 100.0 + i / 16}});
+    const auto tree = PartitionSnapshot<2>::fromCenters(
+        std::span<const Point2>(centers), std::vector<double>(centers.size(), 1.0));
+    ASSERT_TRUE(tree.usesKdTree());
+
+    const auto mesh = geo::gen::delaunay2d(600, 229);
+    const std::array<std::int32_t, 2> branchings{2, 2};
+    const auto topo = geo::hier::Topology::fromBranching(branchings);
+    const auto hres =
+        geo::hier::partitionHierarchical<2>(mesh.points, {}, topo, /*ranks=*/1, Settings{});
+    const auto hier = PartitionSnapshot<2>::fromHierResult(hres, topo, 1, /*ranks=*/2);
+    ASSERT_EQ(hier.depth(), 2);
+
+    for (const Point2& p : bad) {
+        expectNonFiniteRejected(flat, p, "flat scan");
+        expectNonFiniteRejected(tree, p, "kd-tree");
+        expectNonFiniteRejected(hier, p, "hierarchical descent");
+    }
+    EXPECT_EQ(flat.blockOf(Point2{{0.95, 0.95}}), 1);  // finite queries still route
 }
 
 TEST(ServeSnapshot, EngineAndSnapshotBreakExactTiesTheSameWay) {

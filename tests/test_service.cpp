@@ -30,8 +30,10 @@
 #include <condition_variable>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -422,6 +424,52 @@ TEST(Service, PoisonSurfacesAsTypedTicketAndState) {
     for (const auto& t : health.transitions)
         sawEdge = sawEdge || t.to == ServiceState::Poisoned;
     EXPECT_TRUE(sawEdge);
+}
+
+TEST(Service, NonFiniteQueryPointThrows) {
+    ServiceConfig<2> cfg;
+    cfg.blocks = 4;
+    PartitionService<2> service(cfg, makeStep(400));
+    std::vector<Point2> q{{0.5, 0.5}, {std::numeric_limits<double>::quiet_NaN(), 0.95}};
+    std::vector<std::int32_t> out(q.size(), -1);
+    EXPECT_THROW((void)service.route(q, out), std::invalid_argument);
+    q[1] = Point2{{0.95, 0.95}};
+    EXPECT_EQ(service.route(q, out).status, RouteStatus::Ok);
+}
+
+TEST(Service, SubmitRejectsNonFiniteBatchesBeforeEnqueuing) {
+    // One NaN applied to the live set would fail every later repartition's
+    // input check, freezing the served epoch while staleness grows.
+    ServiceConfig<2> cfg;
+    cfg.blocks = 4;
+    cfg.repartitionIntervalSeconds = 0.005;
+    const auto step = makeStep(400);
+    PartitionService<2> service(cfg, step);
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+
+    auto badPoint = moveEvents(step, 8, 41);
+    badPoint[5].point[1] = nan;
+    auto badWeight = moveEvents(step, 8, 42);
+    badWeight[2].kind = repart::ChurnEvent<2>::Kind::Insert;
+    badWeight[2].id = 1'000'000;
+    badWeight[2].weight = inf;
+    EXPECT_THROW((void)service.submit(badPoint), std::invalid_argument);
+    EXPECT_THROW((void)service.submit(badWeight), std::invalid_argument);
+    ASSERT_TRUE(service.waitForIngestDrain(5.0));
+    auto health = service.health();
+    EXPECT_EQ(health.appliedEvents, 0u);
+    EXPECT_EQ(health.ingestQueueDepth, 0u);
+
+    // A valid batch afterwards is applied and published in a new epoch.
+    ASSERT_TRUE(service.submit(moveEvents(step, 64, 43)));
+    ASSERT_TRUE(service.waitForIngestDrain(5.0));
+    EXPECT_EQ(service.health().appliedEvents, 64u);
+    service.requestRepartition();
+    EXPECT_TRUE(service.waitForEpoch(2, 10.0));
+    health = service.health();
+    EXPECT_GE(health.publishedEpochs, 2u);
+    EXPECT_EQ(health.router.failedPublishes, 0u);
 }
 
 // ---------------------------------------------------- histogram under TSan

@@ -169,43 +169,6 @@ TEST(Settings, ResolvedRanksPrecedence) {
     }
 }
 
-TEST(Settings, ResolvedTransportPrecedence) {
-    using geo::par::TransportKind;
-    // Precedence: transport > GEO_TRANSPORT env > simulator.
-    geo::core::Settings s;
-    {
-        const ScopedEnv env("GEO_TRANSPORT", nullptr);
-        EXPECT_EQ(s.resolvedTransport(), TransportKind::Sim);  // all unset
-    }
-    {
-        const ScopedEnv env("GEO_TRANSPORT", "tcp");
-        EXPECT_EQ(s.resolvedTransport(), TransportKind::Tcp);  // env applies
-
-        s.transport = TransportKind::Socket;
-        EXPECT_EQ(s.resolvedTransport(), TransportKind::Socket);  // field beats env
-        s.transport = TransportKind::Auto;
-    }
-    for (const auto& [value, kind] :
-         {std::pair{"socket", TransportKind::Socket}, std::pair{"sim", TransportKind::Sim},
-          std::pair{"", TransportKind::Sim}}) {  // empty = unset
-        const ScopedEnv env("GEO_TRANSPORT", value);
-        EXPECT_EQ(s.resolvedTransport(), kind) << "'" << value << "'";
-    }
-    const ScopedEnv env("GEO_TRANSPORT", "carrier-pigeon");
-    EXPECT_THROW((void)s.resolvedTransport(), std::invalid_argument);
-}
-
-TEST(Settings, TransportKindNamesRoundTrip) {
-    using geo::par::TransportKind;
-    using geo::par::parseTransportKind;
-    using geo::par::transportKindName;
-    for (const TransportKind kind :
-         {TransportKind::Sim, TransportKind::Socket, TransportKind::Tcp})
-        EXPECT_EQ(parseTransportKind(transportKindName(kind)), kind);
-    EXPECT_THROW((void)parseTransportKind("auto"), std::invalid_argument);
-    EXPECT_THROW((void)parseTransportKind(""), std::invalid_argument);
-}
-
 // ------------------------------------------------------ environment rule
 
 /// One GEO_* variable read through its accessor, rendered as text so a
@@ -235,8 +198,6 @@ std::vector<EnvCase> envCases() {
         invalid.insert(invalid.end(), notInts.begin(), notInts.end());
         return invalid;
     };
-    const std::vector<std::pair<const char*, const char*>> worker = {
-        {"GEO_RANK", "0"}, {"GEO_RANKS", "2"}, {"GEO_TRANSPORT", "socket"}};
     return {
         {"GEO_THREADS", integer(par::defaultThreads), "1",
          {{"1", "1"}, {"1024", "1024"}}, withNotInts({"0", "-1", "1025"}), {}},
@@ -244,10 +205,6 @@ std::vector<EnvCase> envCases() {
          withNotInts({"0", "-3", "1025"}), {}},
         {"GEO_RANK", integer(par::workerRank), "-1", {{"0", "0"}, {"3", "3"}},
          withNotInts({"-1", "4"}), {{"GEO_RANKS", "4"}}},
-        {"GEO_TRANSPORT",
-         [] { return std::string(par::transportKindName(par::envTransportKind())); }, "sim",
-         {{"sim", "sim"}, {"socket", "socket"}, {"tcp", "tcp"}},
-         {"auto", "TCP", " sim", "sim ", "tcpx"}, {}},
         {"GEO_COMM_TIMEOUT_MS", integer(par::defaultCommTimeoutMs), "30000",
          {{"0", "0"}, {"86400000", "86400000"}}, withNotInts({"-1", "86400001"}), {}},
         {"GEO_CONNECT_TIMEOUT_MS", integer(par::defaultConnectTimeoutMs), "30000",
@@ -260,10 +217,6 @@ std::vector<EnvCase> envCases() {
           {"delay:ms=3600000", "2 rank=-1 code=1 ms=3600000"}},
          {"explode", "kill:rank=-1", "exit:code=256", "delay:ms=3600001", "kill:rank",
           "kill:seq=99999999999999999999", "kill:rank=1x"}, {}},
-        {"GEO_SOCKET_DIR", [] { return par::workerSocketConfig().value().dir; }, "",
-         {{"/tmp/geo-sockets", "/tmp/geo-sockets"}}, {}, worker},
-        {"GEO_PORT_BASE", integer([] { return par::workerSocketConfig().value().portBase; }),
-         "0", {{"1", "1"}, {"65534", "65534"}}, withNotInts({"0", "-1", "65535"}), worker},
     };
 }
 
@@ -299,6 +252,77 @@ TEST(EnvRule, EveryVariableFollowsTheOneRule) {
     }
 }
 
+TEST(EnvRule, WorkerAddressIsExactlyOneOfSocketDirAndPortBase) {
+    // A geo_launch worker (GEO_RANK set) joins the mesh over TCP when
+    // GEO_PORT_BASE is set and over Unix sockets in GEO_SOCKET_DIR
+    // otherwise; both or neither is a launch error naming both variables.
+    // Each variable still follows the one rule: empty means unset, and a
+    // malformed port base throws naming the variable and the value.
+    const ScopedEnv rank("GEO_RANK", "0");
+    const ScopedEnv ranks("GEO_RANKS", "2");
+    {
+        const ScopedEnv dir("GEO_SOCKET_DIR", "/tmp/geo-sockets");
+        const ScopedEnv port("GEO_PORT_BASE", "");
+        const auto cfg = geo::par::workerSocketConfig().value();
+        EXPECT_FALSE(cfg.tcp);
+        EXPECT_EQ(cfg.dir, "/tmp/geo-sockets");
+        EXPECT_EQ(cfg.rank, 0);
+        EXPECT_EQ(cfg.ranks, 2);
+    }
+    {
+        const ScopedEnv dir("GEO_SOCKET_DIR", "");
+        for (const char* value : {"1", "65534"}) {
+            const ScopedEnv port("GEO_PORT_BASE", value);
+            const auto cfg = geo::par::workerSocketConfig().value();
+            EXPECT_TRUE(cfg.tcp);
+            EXPECT_EQ(cfg.portBase, std::stoi(value));
+        }
+        for (const char* value : {"0", "-1", "65535", "4x", " 4", "+4"}) {
+            const ScopedEnv port("GEO_PORT_BASE", value);
+            try {
+                (void)geo::par::workerSocketConfig();
+                ADD_FAILURE() << "GEO_PORT_BASE '" << value << "' was accepted";
+            } catch (const std::invalid_argument& e) {
+                const std::string what = e.what();
+                EXPECT_NE(what.find("GEO_PORT_BASE"), std::string::npos) << what;
+                EXPECT_NE(what.find(value), std::string::npos) << what;
+            }
+        }
+    }
+    for (const auto& [dir, port] : {std::pair<const char*, const char*>{nullptr, nullptr},
+                                    std::pair<const char*, const char*>{"", ""},
+                                    std::pair<const char*, const char*>{"/tmp/s", "24000"}}) {
+        const ScopedEnv dirEnv("GEO_SOCKET_DIR", dir);
+        const ScopedEnv portEnv("GEO_PORT_BASE", port);
+        try {
+            (void)geo::par::workerSocketConfig();
+            ADD_FAILURE() << "accepted GEO_SOCKET_DIR='" << (dir ? dir : "(unset)")
+                          << "' with GEO_PORT_BASE='" << (port ? port : "(unset)") << "'";
+        } catch (const std::invalid_argument& e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find("GEO_SOCKET_DIR"), std::string::npos) << what;
+            EXPECT_NE(what.find("GEO_PORT_BASE"), std::string::npos) << what;
+        }
+    }
+}
+
+TEST(EnvRule, OutsideAWorkerNoWorkerVariableIsRead) {
+    // Without GEO_RANK a process is no worker: workerSocketConfig and every
+    // Machine run read nothing else, so malformed worker variables cannot
+    // break a partition call.
+    const ScopedEnv rank("GEO_RANK", nullptr);
+    const ScopedEnv ranks("GEO_RANKS", "junk");
+    const ScopedEnv dir("GEO_SOCKET_DIR", "/nonexistent/geo");
+    const ScopedEnv port("GEO_PORT_BASE", "junk");
+    EXPECT_FALSE(geo::par::workerSocketConfig().has_value());
+    Xoshiro256 rng(23);
+    std::vector<geo::Point2> points(400);
+    for (auto& p : points) p = {rng.uniform(), rng.uniform()};
+    const auto res = geo::core::partitionGeographer<2>(points, {}, 4, 2, geo::core::Settings{});
+    EXPECT_EQ(res.partition.size(), points.size());
+    EXPECT_STREQ(res.runStats.transport, "sim");
+}
+
 TEST(EnvRule, MalformedThreadsReachThePartitionCaller) {
     // Both simulated ranks read GEO_THREADS and throw at the same point, so
     // the run ends without a hang and rethrows to the caller.
@@ -311,10 +335,10 @@ TEST(EnvRule, MalformedThreadsReachThePartitionCaller) {
 }
 
 TEST(EnvRule, MutatedValuesYieldAValueOrInvalidArgument) {
-    // Seeded mutation fuzzing of the GEO_FAULT, GEO_MEM_BUDGET and
-    // GEO_TRANSPORT parsers and the integer parser: every input gives a
-    // value or std::invalid_argument — any other exception fails the test,
-    // and the sanitizer job turns UB into a failure too.
+    // Seeded mutation fuzzing of the GEO_FAULT and GEO_MEM_BUDGET parsers
+    // and the integer parser: every input gives a value or
+    // std::invalid_argument — any other exception fails the test, and the
+    // sanitizer job turns UB into a failure too.
     struct Target {
         const char* name;
         std::vector<std::string> seeds;
@@ -326,7 +350,6 @@ TEST(EnvRule, MutatedValuesYieldAValueOrInvalidArgument) {
          [] { (void)geo::support::envFaultSpec(); }},
         {"GEO_MEM_BUDGET", {"0", "64k", "512MB", "2g", "18446744073709551615"},
          [] { (void)geo::support::envMemoryBudget(); }},
-        {"GEO_TRANSPORT", {"sim", "socket", "tcp"}, [] { (void)geo::par::envTransportKind(); }},
         {"GEO_THREADS", {"1", "4", "1024"}, [] { (void)geo::par::defaultThreads(); }},
         {"GEO_COMM_TIMEOUT_MS", {"0", "750", "86400000"},
          [] { (void)geo::par::defaultCommTimeoutMs(); }},

@@ -9,10 +9,11 @@
 //   * run with --worker=conformance it executes the same battery inside a
 //     geo_launch worker and signals failure through its exit code;
 //   * run with --worker=pipeline OUT it runs the partition → repartition →
-//     route pipeline and every rank r writes a binary dump of every
-//     deterministic output to OUT.r — the gtest side compares each dump
-//     byte-for-byte against the simulator's (same partition vector,
-//     counters and misrouteStats, at 2 and 4 real processes).
+//     route → distributed SpMV pipeline and every rank r writes a binary
+//     dump of every deterministic output to OUT.r — the gtest side compares
+//     each dump byte-for-byte against the simulator's (same partition
+//     vector, counters, misrouteStats and SpMV halo figures, at 2 and 4
+//     real processes).
 //
 // Every expected value in the battery is the STRICT RANK-ORDER fold the
 // determinism contract promises (transport.hpp): each rank recomputes the
@@ -33,12 +34,14 @@
 
 #include "core/geographer.hpp"
 #include "core/settings.hpp"
+#include "gen/delaunay2d.hpp"
 #include "par/comm.hpp"
 #include "par/transport/transport.hpp"
 #include "repart/repartition.hpp"
 #include "repart/scenarios.hpp"
 #include "serve/router.hpp"
 #include "serve/snapshot.hpp"
+#include "spmv/dist_spmv.hpp"
 #include "support/binio.hpp"
 
 #ifndef GEO_LAUNCH_PATH
@@ -48,7 +51,6 @@
 namespace {
 
 using geo::par::Comm;
-using geo::par::TransportKind;
 
 // ---------------------------------------------------------------- helpers
 
@@ -271,9 +273,11 @@ void runBattery(Comm& comm, Failures& fails) {
 
 /// The acceptance pipeline: cold partition → snapshot publish → route the
 /// next timestep through the stale snapshot → warm repartition → misroute
-/// accounting. Returns a binary dump of every deterministic output; the
-/// same `ranks` must yield the same bytes on every backend.
-std::vector<std::byte> runPipelineDump(int ranks, TransportKind kind) {
+/// accounting → distributed SpMV over the fresh partition. Returns a
+/// binary dump of every deterministic output; the same `ranks` must yield
+/// the same bytes on every backend. The backend is the process's: the
+/// simulator in the gtest process, the socket mesh in a geo_launch worker.
+std::vector<std::byte> runPipelineDump(int ranks) {
     using geo::repart::RepartState;
     using geo::serve::PartitionSnapshot;
 
@@ -286,7 +290,6 @@ std::vector<std::byte> runPipelineDump(int ranks, TransportKind kind) {
 
     geo::core::Settings settings;
     settings.threads = 2;
-    settings.transport = kind;
     const std::int32_t k = 8;
 
     geo::binio::Writer w;
@@ -352,6 +355,16 @@ std::vector<std::byte> runPipelineDump(int ranks, TransportKind kind) {
         std::span<const std::int32_t>(step1.result.partition));
     w.i64(mis.total);
     w.i64(mis.misrouted);
+
+    // Distributed SpMV at the same width over the step-1 partition: halo
+    // exchanges through alltoallv, figures reduced through Comm.
+    const auto graph = geo::gen::delaunayTriangulate2d(pts1);
+    const auto spmv = geo::spmv::runSpmvDistributed(graph, step1.result.partition, k, ranks,
+                                                    /*iterations=*/5);
+    w.u64(spmv.haloBytesPerIteration);
+    w.i64(spmv.totalGhosts);
+    w.f64(spmv.checksum);
+    w.f64(spmv.commSecondsPerIteration);
     return std::move(w).take();
 }
 
@@ -384,7 +397,7 @@ int conformanceWorkerMain() {
 
 int pipelineWorkerMain(const char* outPath) {
     try {
-        const auto bytes = runPipelineDump(geo::par::defaultRanks(), TransportKind::Auto);
+        const auto bytes = runPipelineDump(geo::par::defaultRanks());
         // Guard against a silent simulator fallback, which would turn the
         // cross-backend comparison into sim-vs-sim.
         geo::par::Transport* transport = geo::par::processTransport();
@@ -480,8 +493,7 @@ class SimConformance : public ::testing::TestWithParam<int> {};
 
 TEST_P(SimConformance, BatteryPasses) {
     Failures fails;
-    geo::par::runSpmd(GetParam(), [&](Comm& comm) { runBattery(comm, fails); },
-                      {}, TransportKind::Sim);
+    geo::par::runSpmd(GetParam(), [&](Comm& comm) { runBattery(comm, fails); });
     for (const auto& f : fails.all) ADD_FAILURE() << f;
 }
 
@@ -515,7 +527,7 @@ TEST(GeoLaunch, PropagatesWorkerExitCode) {
 // --------------------------------------- gtest: bitwise pipeline acceptance
 
 void comparePipelineAgainstSim(int ranks) {
-    const auto simBytes = runPipelineDump(ranks, TransportKind::Sim);
+    const auto simBytes = runPipelineDump(ranks);
     ASSERT_FALSE(simBytes.empty());
 
     const std::string out = "/tmp/geo_test_pipeline_" + std::to_string(::getpid()) +
@@ -565,8 +577,7 @@ int main(int argc, char** argv) {
     // gtest mode: scrub worker environment so the simulator legs cannot
     // accidentally pick up a socket transport from the caller's shell, and
     // the geo_launch children start from a clean slate.
-    for (const char* var : {"GEO_RANK", "GEO_RANKS", "GEO_TRANSPORT",
-                            "GEO_SOCKET_DIR", "GEO_PORT_BASE"})
+    for (const char* var : {"GEO_RANK", "GEO_RANKS", "GEO_SOCKET_DIR", "GEO_PORT_BASE"})
         unsetenv(var);
 
     ::testing::InitGoogleTest(&argc, argv);

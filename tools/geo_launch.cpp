@@ -8,11 +8,13 @@
 //     geo_launch -n 2 --transport tcp --port-base 24000 -- ./test_transport --worker=conformance
 //     geo_launch -n 4 --restart 2 --comm-timeout-ms 5000 -- ./bench_repart_timeline ...
 //
-// Each worker gets GEO_RANK / GEO_RANKS / GEO_TRANSPORT plus the rendezvous
-// (GEO_SOCKET_DIR for Unix-domain sockets — a fresh temp directory by
-// default — or GEO_PORT_BASE for TCP). Workers run completely unchanged
-// SPMD entry points: the first Machine run inside each process joins the
-// mesh via par::ensureWorkerTransport.
+// Each worker gets GEO_RANK / GEO_RANKS plus exactly one rendezvous
+// address: GEO_SOCKET_DIR for Unix-domain sockets (a fresh temp directory
+// by default) or, with --transport tcp, GEO_PORT_BASE — the address
+// variable tells the worker which family to use. Workers run completely
+// unchanged SPMD entry points: the first Machine run inside each process
+// joins the mesh via par::ensureWorkerTransport, and every run whose width
+// equals the worker count runs on it.
 //
 // Supervision (DESIGN.md "Failure model & recovery"):
 //   * A ~50 ms waitpid heartbeat detects the FIRST failing rank and prints
@@ -124,12 +126,14 @@ int runAttempt(const LaunchPlan& plan, int attempt) {
         if (pid == 0) {
             setenv("GEO_RANK", std::to_string(r).c_str(), 1);
             setenv("GEO_RANKS", std::to_string(plan.ranks).c_str(), 1);
-            setenv("GEO_TRANSPORT", plan.tcp ? "tcp" : "socket", 1);
             setenv("GEO_RESTART_ATTEMPT", std::to_string(attempt).c_str(), 1);
-            if (plan.tcp)
+            if (plan.tcp) {
                 setenv("GEO_PORT_BASE", std::to_string(plan.portBase).c_str(), 1);
-            else
+                unsetenv("GEO_SOCKET_DIR");
+            } else {
                 setenv("GEO_SOCKET_DIR", plan.socketDir.c_str(), 1);
+                unsetenv("GEO_PORT_BASE");
+            }
             execvp(plan.cmd[0], plan.cmd);
             std::perror("geo_launch: exec");
             _exit(127);
