@@ -12,8 +12,9 @@
 // instance size (default 1M points — the acceptance configuration).
 //
 // Memory budgeting: `--mem-budget BYTES` (suffixes k/m/g accepted) caps the
-// point pipeline's tile storage via Settings::memoryBudgetBytes — the
-// chunked PointStore path, bitwise identical to the resident path.
+// k-means point mirror via Settings::memoryBudgetBytes; an active set that
+// does not fit is read through the active order, bitwise identical to the
+// mirrored path.
 // `--assert-rss BYTES` makes the binary exit non-zero if the process peak
 // RSS ends above the cap (the CI bench-smoke guard). After the scaling rows
 // the final run's diagram is frozen into a PartitionSnapshot and every
@@ -54,9 +55,9 @@ struct ScalingRow {
     double total = 0.0;    ///< pipeline + metrics wall time
     std::uint64_t keyedPoints = 0;
     std::uint64_t sortedRecords = 0;
-    std::uint64_t peakTileBytes = 0;  ///< engine point-store high-water mark
-    std::uint64_t residentBytes = 0;  ///< tile bytes live at the end
-    std::uint64_t spilledTiles = 0;   ///< tile refills beyond the first fill
+    std::uint64_t peakTileBytes = 0;  ///< engine point-store mirror high-water mark
+    std::uint64_t residentBytes = 0;  ///< mirror bytes held at the end (0: read-through)
+    std::uint64_t spilledTiles = 0;   ///< always 0: nothing is refilled
 };
 
 void writeJson(const std::string& path, std::int64_t n, std::int32_t k,
@@ -217,7 +218,7 @@ int main(int argc, char** argv) {
     std::vector<ScalingRow> rows;
     core::GeographerResult lastRes;
     Table scalingTable({"threads", "keying[s]", "sort[s]", "assign[s]", "update[s]",
-                        "metrics[s]", "total[s]", "peakTileMB", "spills"});
+                        "metrics[s]", "total[s]", "peakTileMB", "residentMB"});
     const int threadCounts[] = {1, 2, 4, 8};
     const std::size_t rowCount = std::size(threadCounts);
     // Resume skips completed rows; when all are complete, re-run the last
@@ -256,7 +257,7 @@ int main(int argc, char** argv) {
              Table::num(row.update, 3), Table::num(row.metrics, 3),
              Table::num(row.total, 3),
              Table::num(static_cast<double>(row.peakTileBytes) / (1024.0 * 1024.0), 2),
-             std::to_string(row.spilledTiles)});
+             Table::num(static_cast<double>(row.residentBytes) / (1024.0 * 1024.0), 2)});
         (void)m;
         if (!checkpointPath.empty() && bench::isRootProcess()) {
             core::CheckpointState ck;
@@ -310,7 +311,7 @@ int main(int argc, char** argv) {
               << (memBudget == 0 ? std::string("unlimited")
                                  : std::to_string(memBudget) + " bytes")
               << " | engine peak tile bytes: " << rows.back().peakTileBytes
-              << " | spilled tiles: " << rows.back().spilledTiles
+              << " | resident bytes: " << rows.back().residentBytes
               << " | process peak RSS: "
               << Table::num(static_cast<double>(peakRss) / (1024.0 * 1024.0), 1)
               << " MB\n";

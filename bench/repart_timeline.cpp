@@ -22,8 +22,8 @@
 //                           [--resume PATH]
 //
 // `--mem-budget BYTES` (k/m/g suffixes accepted) caps the assignment
-// engine's tile storage via Settings::memoryBudgetBytes; partitions are
-// bitwise unchanged (chunked-vs-resident contract), only the memory
+// engine's point mirror via Settings::memoryBudgetBytes; partitions are
+// bitwise unchanged (mirrored-vs-read-through contract), only the memory
 // counters and wall clock move.
 //
 // `--checkpoint PATH` saves the warm strategy's state (centers, influence)
@@ -473,8 +473,7 @@ int main(int argc, char** argv) {
                       << " batched=" << c.batchedDistanceCalcs
                       << " epochApps=" << c.epochBoundApplications << " skip%="
                       << Table::num(100.0 * c.skipFraction(), 3)
-                      << " peakTileKB=" << c.peakTileBytes / 1024
-                      << " spills=" << c.spilledTiles << '\n';
+                      << " peakTileKB=" << c.peakTileBytes / 1024 << '\n';
         };
         printCounters("engine counters repart ", warmHist.counters);
         printCounters("engine counters scratch", coldHist.counters);

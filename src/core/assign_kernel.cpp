@@ -15,15 +15,6 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Points per cache block. Fixed (never derived from the thread count) so
-/// the per-block size partials — and with them every floating-point sum the
-/// sweep and the center update produce — are identical at any
-/// Settings::threads. Must equal the PointStore tile so wave boundaries
-/// always fall on block boundaries (the chunked-path bitwise guarantee).
-constexpr std::size_t kAssignBlock = 1024;
-static_assert(kAssignBlock == PointStore<2>::kTilePoints &&
-              kAssignBlock == PointStore<3>::kTilePoints);
-
 }  // namespace
 
 template <int D>
@@ -41,7 +32,6 @@ AssignEngine<D>::AssignEngine(std::span<const Point<D>> points,
     GEO_REQUIRE(weights_.empty() || weights_.size() == points_.size(),
                 "weights must be empty or match points");
     GEO_REQUIRE(order_.size() <= points_.size(), "order lists more slots than points");
-    scratch_.resize(static_cast<std::size_t>(settings_.resolvedThreads()));
 }
 
 template <int D>
@@ -57,12 +47,14 @@ void AssignEngine<D>::setActive(std::size_t activeCount) {
         epoch_.assign(order_.size(), 0);
     }
     // The points and the order are fixed for the engine's lifetime, so a
-    // resident store already holding this prefix has its mirror and box
-    // current: skip the O(active) re-gather. A budgeted store goes through
-    // setActive every time, which keeps its spill accounting as it was.
-    if (store_.resident() && store_.activeCount() == activeCount) return;
+    // store already holding this prefix has its box (and mirror, if any)
+    // current: skip the O(active) pass over the points.
+    if (store_.activeCount() == activeCount) return;
     store_.setActive(order_, activeCount, settings_.resolvedThreads());
-    recordStoreCounters();
+    // merge() across engines maxes both mirror counters.
+    const auto& acc = store_.accounting();
+    counters_.peakTileBytes = std::max(counters_.peakTileBytes, acc.peakResidentBytes);
+    counters_.residentBytes = acc.residentBytes;
 }
 
 template <int D>
@@ -70,17 +62,6 @@ std::vector<std::int32_t> AssignEngine<D>::assignment() const {
     std::vector<std::int32_t> byPoint(points_.size(), -1);
     for (std::size_t s = 0; s < assignment_.size(); ++s) byPoint[order_[s]] = assignment_[s];
     return byPoint;
-}
-
-/// Surface the store's accounting through KMeansCounters. The store totals
-/// are cumulative over its lifetime, so they are assigned (peaks via max),
-/// not added — merge() across engines then maxes peaks and sums spills.
-template <int D>
-void AssignEngine<D>::recordStoreCounters() {
-    const auto& acc = store_.accounting();
-    counters_.peakTileBytes = std::max(counters_.peakTileBytes, acc.peakResidentBytes);
-    counters_.residentBytes = acc.residentBytes;
-    counters_.spilledTiles = acc.spilledTiles;
 }
 
 template <int D>
@@ -126,46 +107,54 @@ void AssignEngine<D>::beginRound(std::span<const Point<D>> centers,
     }
 }
 
+/// Run `blockFn(s0, s1, worker, partial)` over every fixed block [s0, s1)
+/// of the active slots, kChunkBlocks blocks at a time over `threads`
+/// workers, and add each block's `out.size()`-wide partial into `out` in
+/// ascending block order.
+template <int D>
+template <typename BlockFn>
+void AssignEngine<D>::foldBlocks(int threads, std::vector<double>& partials,
+                                 std::span<double> out, BlockFn&& blockFn) {
+    const std::size_t stride = out.size();
+    const std::size_t active = store_.activeCount();
+    const std::size_t blocks = (active + kBlockSlots - 1) / kBlockSlots;
+    partials.resize(std::min(blocks, kChunkBlocks) * stride);
+    for (std::size_t first = 0; first < blocks; first += kChunkBlocks) {
+        const std::size_t count = std::min(kChunkBlocks, blocks - first);
+        par::parallelFor(threads, count, [&](std::size_t b0, std::size_t b1, int worker) {
+            for (std::size_t b = b0; b < b1; ++b) {
+                const std::size_t s0 = (first + b) * kBlockSlots;
+                blockFn(s0, std::min(active, s0 + kBlockSlots), worker,
+                        &partials[b * stride]);
+            }
+        });
+        for (std::size_t b = 0; b < count; ++b)
+            for (std::size_t c = 0; c < stride; ++c) out[c] += partials[b * stride + c];
+    }
+}
+
 template <int D>
 void AssignEngine<D>::sweep(std::span<double> localSizes) {
     GEO_REQUIRE(static_cast<std::int32_t>(localSizes.size()) == k_,
                 "localSizes must have one entry per cluster");
     std::fill(localSizes.begin(), localSizes.end(), 0.0);
-    const std::size_t active = store_.activeCount();
-    if (active == 0) return;
+    if (store_.activeCount() == 0) return;
     GEO_CHECK(!centers_.empty(), "beginRound must precede sweep");
 
-    const auto stride = static_cast<std::size_t>(k_);
-    const std::size_t waveBlocks =
-        (std::min(store_.wavePoints(), active) + kAssignBlock - 1) / kAssignBlock;
-    blockSizes_.resize(waveBlocks * stride);
     const int threads = settings_.resolvedThreads();
     if (scratch_.size() < static_cast<std::size_t>(threads))
         scratch_.resize(static_cast<std::size_t>(threads));
-
-    // Waves in ascending order, each wave's blocks in parallel; folding the
-    // per-block partials wave-by-wave in ascending block order is the same
-    // left fold the resident single-wave path performs, so localSizes is
-    // bitwise identical at every budget and thread count.
-    for (std::size_t w = 0; w < store_.waveCount(); ++w) {
-        const auto wave = store_.wave(w, threads);
-        const std::size_t blocks = (wave.count + kAssignBlock - 1) / kAssignBlock;
-        par::parallelFor(threads, blocks,
-                         [&](std::size_t b0, std::size_t b1, int worker) {
-                             auto& scratch = scratch_[static_cast<std::size_t>(worker)];
-                             for (std::size_t b = b0; b < b1; ++b)
-                                 processBlock(wave, b, scratch, &blockSizes_[b * stride]);
-                         });
-        for (std::size_t b = 0; b < blocks; ++b)
-            for (std::size_t c = 0; c < stride; ++c)
-                localSizes[c] += blockSizes_[b * stride + c];
-    }
+    const auto mirror = store_.mirror();
+    foldBlocks(threads, blockSizes_, localSizes,
+               [&](std::size_t s0, std::size_t s1, int worker, double* blockSizes) {
+                   processBlock(s0, s1, mirror, scratch_[static_cast<std::size_t>(worker)],
+                                blockSizes);
+               });
     // Counter merges are integer sums — order-independent.
     for (auto& scratch : scratch_) {
         counters_.merge(scratch.counters);
         scratch.counters = KMeansCounters{};
     }
-    recordStoreCounters();
 }
 
 template <int D>
@@ -173,76 +162,110 @@ void AssignEngine<D>::updateCenters(std::span<double> sums) {
     const auto stride = static_cast<std::size_t>(k_) * (D + 1);
     GEO_REQUIRE(sums.size() == stride, "sums must be k*(D+1) wide");
     std::fill(sums.begin(), sums.end(), 0.0);
-    const std::size_t active = store_.activeCount();
-    if (active == 0) return;
+    if (store_.activeCount() == 0) return;
 
-    const std::size_t waveBlocks =
-        (std::min(store_.wavePoints(), active) + kAssignBlock - 1) / kAssignBlock;
-    blockSums_.resize(waveBlocks * stride);
-    const int threads = settings_.resolvedThreads();
-    // Same wave-then-block left fold as sweep(): bitwise identical at every
-    // budget and thread count.
-    for (std::size_t w = 0; w < store_.waveCount(); ++w) {
-        const auto wave = store_.wave(w, threads);
-        const std::size_t blocks = (wave.count + kAssignBlock - 1) / kAssignBlock;
-        par::parallelFor(
-            threads, blocks, [&](std::size_t b0, std::size_t b1, int) {
-                for (std::size_t b = b0; b < b1; ++b) {
-                    double* partial = &blockSums_[b * stride];
-                    std::fill(partial, partial + stride, 0.0);
-                    const std::size_t j0 = b * kAssignBlock;
-                    const std::size_t j1 = std::min(wave.count, j0 + kAssignBlock);
-                    for (std::size_t j = j0; j < j1; ++j) {
-                        const auto c =
-                            static_cast<std::size_t>(assignment_[wave.begin + j]);
-                        const double weight = wave.weight[j];
-                        double* row = partial + c * (D + 1);
-                        for (int d = 0; d < D; ++d)
-                            row[d] += weight * wave.x[static_cast<std::size_t>(d)][j];
-                        row[D] += weight;
-                    }
-                }
-            });
-        for (std::size_t b = 0; b < blocks; ++b)
-            for (std::size_t c = 0; c < stride; ++c)
-                sums[c] += blockSums_[b * stride + c];
-    }
-    recordStoreCounters();
+    const auto mirror = store_.mirror();
+    foldBlocks(settings_.resolvedThreads(), blockSums_, sums,
+               [&](std::size_t s0, std::size_t s1, int, double* partial) {
+                   std::fill(partial, partial + stride, 0.0);
+                   for (std::size_t s = s0; s < s1; ++s) {
+                       double* row =
+                           partial + static_cast<std::size_t>(assignment_[s]) * (D + 1);
+                       if (mirror.weight != nullptr) {
+                           const double weight = mirror.weight[s];
+                           for (int d = 0; d < D; ++d)
+                               row[d] += weight * mirror.x[static_cast<std::size_t>(d)][s];
+                           row[D] += weight;
+                       } else {
+                           const std::size_t p = order_[s];
+                           const double weight = weights_.empty() ? 1.0 : weights_[p];
+                           for (int d = 0; d < D; ++d) row[d] += weight * points_[p][d];
+                           row[D] += weight;
+                       }
+                   }
+               });
 }
 
 template <int D>
-void AssignEngine<D>::processBlock(const typename PointStore<D>::WaveView& wave,
-                                   std::size_t block, Scratch& scratch,
-                                   double* blockSizes) {
-    const std::size_t j0 = block * kAssignBlock;
-    const std::size_t j1 = std::min(wave.count, j0 + kAssignBlock);
-    scratch.slots.clear();
-    for (int d = 0; d < D; ++d) scratch.gx[static_cast<std::size_t>(d)].clear();
+void AssignEngine<D>::processBlock(std::size_t s0, std::size_t s1,
+                                   const typename PointStore<D>::Mirror& mirror,
+                                   Scratch& scratch, double* blockSizes) {
+    // Each worker sizes its own lanes, once, on its first block, so they sit
+    // in that thread's malloc arena: sizing every worker's lanes on the
+    // calling thread raised cold-mesh2d's set-up peak RSS by 0.6 MB.
+    if (scratch.slots.empty()) {
+        scratch.slots.resize(kBlockSlots);
+        for (auto& x : scratch.gx) x.resize(kBlockSlots);
+        for (auto* lane : {&scratch.best2, &scratch.second2, &scratch.bestC, &scratch.secondC})
+            lane->resize(kBlockSlots);
+    }
+    const std::uint32_t cur = currentEpoch();
+    const bool bounds = settings_.hamerlyBounds;
+    const Epoch* epochs = epochs_.data();
+    const std::int32_t* assignment = assignment_.data();
+    double* ub = ub_.data();
+    double* lb = lb_.data();
+    std::uint32_t* epoch = epoch_.data();
+    const std::size_t* order = order_.data();
+    std::size_t* laneSlot = scratch.slots.data();
+    std::array<double*, static_cast<std::size_t>(D)> gx;
+    for (int d = 0; d < D; ++d)
+        gx[static_cast<std::size_t>(d)] = scratch.gx[static_cast<std::size_t>(d)].data();
 
-    // Tile lane j is active slot wave.begin + j: the block's bounds,
-    // epochs and assignments are one contiguous slot range.
-    for (std::size_t j = j0; j < j1; ++j) {
-        const std::size_t slot = wave.begin + j;
-        scratch.counters.pointEvaluations++;
-        if (settings_.hamerlyBounds && assignment_[slot] >= 0) {
-            applyEpochs(slot, scratch.counters);
-            if (ub_[slot] < lb_[slot]) {
-                scratch.counters.boundSkips++;  // membership provably unchanged
+    // One pass over the block's slots: replay the epochs [seen, cur) a
+    // point missed, in order (the same multiply/add per epoch the eager
+    // sweeps performed), skip it when ub < lb proves its membership
+    // unchanged, and write every other point's slot and coordinates into
+    // the next lane — from the mirror, or from the caller's point through
+    // the order.
+    std::uint64_t skips = 0;
+    std::uint64_t replays = 0;
+    std::size_t m = 0;
+    for (std::size_t s = s0; s < s1; ++s) {
+        const std::int32_t c = assignment[s];
+        if (bounds && c >= 0) {
+            const auto cluster = static_cast<std::size_t>(c);
+            double u = ub[s];
+            double l = lb[s];
+            const std::uint32_t seen = epoch[s];
+            if (seen != cur) {
+                for (std::uint32_t e = seen; e < cur; ++e) epochs[e].replay(cluster, u, l);
+                replays += cur - seen;
+                ub[s] = u;
+                lb[s] = l;
+                epoch[s] = cur;
+            }
+            if (u < l) {
+                ++skips;
                 continue;
             }
         }
-        scratch.slots.push_back(slot);
-        for (int d = 0; d < D; ++d)
-            scratch.gx[static_cast<std::size_t>(d)].push_back(
-                wave.x[static_cast<std::size_t>(d)][j]);
+        laneSlot[m] = s;
+        if (mirror.weight != nullptr) {
+            for (int d = 0; d < D; ++d)
+                gx[static_cast<std::size_t>(d)][m] = mirror.x[static_cast<std::size_t>(d)][s];
+        } else {
+            const Point<D>& p = points_[order[s]];
+            for (int d = 0; d < D; ++d) gx[static_cast<std::size_t>(d)][m] = p[d];
+        }
+        ++m;
     }
+    scratch.counters.pointEvaluations += s1 - s0;
+    scratch.counters.boundSkips += skips;
+    scratch.counters.epochBoundApplications += replays;
 
-    if (!scratch.slots.empty()) batchKernel(scratch, scratch.slots.size());
+    if (m > 0) batchKernel(scratch, m);
 
     // Per-block weighted sizes, accumulated in slot order within the block.
-    for (std::int32_t c = 0; c < k_; ++c) blockSizes[c] = 0.0;
-    for (std::size_t j = j0; j < j1; ++j)
-        blockSizes[assignment_[wave.begin + j]] += wave.weight[j];
+    std::fill(blockSizes, blockSizes + k_, 0.0);
+    if (mirror.weight != nullptr) {
+        for (std::size_t s = s0; s < s1; ++s) blockSizes[assignment[s]] += mirror.weight[s];
+    } else if (weights_.empty()) {
+        for (std::size_t s = s0; s < s1; ++s) blockSizes[assignment[s]] += 1.0;
+    } else {
+        for (std::size_t s = s0; s < s1; ++s)
+            blockSizes[assignment[s]] += weights_[order[s]];
+    }
 }
 
 namespace {
@@ -262,10 +285,10 @@ constexpr std::size_t kRetireInterval = 4;
 /// runs only when the next center's pruning key is positive.
 template <int D>
 void AssignEngine<D>::batchKernel(Scratch& scratch, std::size_t m) {
-    scratch.best2.assign(m, kInf);
-    scratch.second2.assign(m, kInf);
-    scratch.bestC.assign(m, -1.0);
-    scratch.secondC.assign(m, -1.0);
+    std::fill_n(scratch.best2.begin(), m, kInf);
+    std::fill_n(scratch.second2.begin(), m, kInf);
+    std::fill_n(scratch.bestC.begin(), m, -1.0);
+    std::fill_n(scratch.secondC.begin(), m, -1.0);
     const std::uint32_t cur = currentEpoch();
 
     // Materialize one lane: recompute the Hamerly bounds in the sqrt
@@ -342,29 +365,6 @@ void AssignEngine<D>::batchKernel(Scratch& scratch, std::size_t m) {
         }
     }
     for (std::size_t j = 0; j < live; ++j) materialize(j);
-}
-
-template <int D>
-void AssignEngine<D>::applyEpochs(std::size_t slot, KMeansCounters& counters) {
-    const std::uint32_t cur = currentEpoch();
-    std::uint32_t e = epoch_[slot];
-    if (e == cur) return;
-    const auto c = static_cast<std::size_t>(assignment_[slot]);
-    double ub = ub_[slot], lb = lb_[slot];
-    counters.epochBoundApplications += cur - e;
-    for (; e < cur; ++e) {
-        const Epoch& ep = epochs_[e];
-        if (ep.move) {
-            ub = ub * ep.ratio[c] + ep.shift[c];
-            lb = std::max(0.0, lb * ep.minRatio - ep.maxShift);
-        } else {
-            ub *= ep.ratio[c];
-            lb *= ep.minRatio;
-        }
-    }
-    ub_[slot] = ub;
-    lb_[slot] = lb;
-    epoch_[slot] = cur;
 }
 
 template <int D>

@@ -27,28 +27,29 @@
 //      lifetime, and every per-point array (assignment, ub, lb, epoch) is
 //      indexed by slot, not by point id. setActive(count) moves the end of
 //      the active prefix and hands it to a PointStore, which mirrors the
-//      points into per-dimension tile arrays under the byte budget of
-//      Settings::memoryBudgetBytes / GEO_MEM_BUDGET: unlimited keeps the
-//      whole set resident (one gather per setActive, as before); a finite
-//      budget materializes budget-sized waves of fixed 1024-point tiles,
-//      regenerated from the caller's points on every pass. The sweep walks
-//      the waves in order, each wave's fixed 1024-point blocks in parallel,
-//      gathers the not-skipped points of each block into contiguous
-//      scratch, and folds the centers into it one at a time, in ascending
-//      (pruning key, id) order, tracking best and second best per lane.
-//      A block's tile, bounds and sizes are one contiguous slot range, so
-//      a sampled (randomly ordered) sweep reads and writes its state
+//      active points into per-dimension arrays in slot order when they fit
+//      the byte budget of Settings::memoryBudgetBytes / GEO_MEM_BUDGET
+//      (unlimited, or kBytesPerPoint · active ≤ budget), and holds no
+//      mirror otherwise. The sweep walks fixed 1024-slot blocks; one pass
+//      over a block's contiguous slot range replays missed epochs, skips
+//      what the bounds allow, and writes the slot and coordinates of every
+//      other point into contiguous lanes — from the mirror, or without one
+//      straight from the caller's points through the order — then folds
+//      the centers into the lanes one at a time, in ascending (pruning
+//      key, id) order, tracking best and second best per lane. A block's
+//      bounds, sizes and mirror rows are one contiguous slot range, so a
+//      sampled (randomly ordered) sweep reads and writes its state
 //      sequentially and two workers share a cache line only at a block
 //      edge. Weighted cluster sizes are accumulated per block and reduced
 //      in block order.
 //   4. Intra-rank threading (Settings::threads) via par::parallelFor over
-//      whole blocks. Because block (and wave) boundaries are fixed and the
-//      block partials are reduced serially in ascending global block order
-//      — waves ascending, blocks within a wave ascending, which is the same
-//      left fold the resident path performs — results are bitwise
-//      identical at every thread count AND every memory budget. The same
-//      contract covers updateCenters(), the threaded Alg. 2 line-13
-//      reduction.
+//      whole blocks. Blocks run a fixed number at a time (a chunk); each
+//      chunk's per-block partials are folded serially in ascending block
+//      order before the next chunk starts — one left fold over all blocks,
+//      whatever the chunking — and block and chunk boundaries depend only
+//      on the active count, so results are bitwise identical at every
+//      thread count AND every memory budget. The same contract covers
+//      updateCenters(), the threaded Alg. 2 line-13 reduction.
 //
 // Bounds and bbox pruning can be switched off through Settings
 // (hamerlyBounds, boundingBoxPruning) for the ablation benches; either way
@@ -57,6 +58,7 @@
 // checks that the engine reproduces it exactly.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <span>
@@ -72,6 +74,20 @@ namespace geo::core {
 template <int D>
 class AssignEngine {
 public:
+    /// Slots per cache block. Fixed (never derived from the thread count or
+    /// the budget) so the per-block partials — and with them every
+    /// floating-point sum the sweep and the center update produce — are
+    /// identical at any Settings::threads and memory budget.
+    static constexpr std::size_t kBlockSlots = 1024;
+
+    /// Blocks per chunk. The sweep and the center update run this many
+    /// blocks at a time and fold each chunk's partials in ascending block
+    /// order before the next chunk starts: the same left fold over all
+    /// blocks as one chunk would give, so the constant changes no bit. It
+    /// bounds the partial storage at kChunkBlocks · k · (D + 1) doubles
+    /// however many points are active.
+    static constexpr std::size_t kChunkBlocks = 256;
+
     /// `points`/`weights`/`order` must outlive the engine (weights may be
     /// empty = unit). `order` lists point ids in active order: slot s is
     /// point order[s] for the engine's whole lifetime, so it is referenced,
@@ -83,9 +99,9 @@ public:
     /// Declare the active prefix, slots [0, activeCount) — the PointStore
     /// recomputes the active bounding box and (budget permitting) mirrors
     /// the points. Called once per assignAndBalance (the active set only
-    /// changes between calls); only the end of the prefix moves. A resident
-    /// store whose prefix length is unchanged is already current, so that
-    /// call does nothing.
+    /// changes between calls); only the end of the prefix moves. A store
+    /// whose prefix length is unchanged is already current, so that call
+    /// does nothing.
     void setActive(std::size_t activeCount);
 
     /// Bounding box of the active points (invalid when none are active).
@@ -138,11 +154,22 @@ private:
         double minRatio = 1.0;
         double maxShift = 0.0;
         bool move = false;
+
+        /// Relax the bounds of a point assigned to cluster c (Eq. 4–5).
+        void replay(std::size_t c, double& ub, double& lb) const noexcept {
+            if (move) {
+                ub = ub * ratio[c] + shift[c];
+                lb = std::max(0.0, lb * minRatio - maxShift);
+            } else {
+                ub *= ratio[c];
+                lb *= minRatio;
+            }
+        }
     };
 
-    /// Per-worker scratch: gathered coordinates + kernel state (the lanes of
-    /// core::TileLanes; center ids travel as doubles, materialization
-    /// narrows them).
+    /// Per-worker scratch, one block wide: gathered coordinates + kernel
+    /// state (the lanes of core::TileLanes; center ids travel as doubles,
+    /// materialization narrows them).
     struct Scratch {
         std::vector<std::size_t> slots;  ///< active slot per gathered lane
         std::array<std::vector<double>, static_cast<std::size_t>(D)> gx;
@@ -150,11 +177,13 @@ private:
         KMeansCounters counters;
     };
 
-    void processBlock(const typename PointStore<D>::WaveView& wave,
-                      std::size_t block, Scratch& scratch, double* blockSizes);
+    template <typename BlockFn>
+    void foldBlocks(int threads, std::vector<double>& partials, std::span<double> out,
+                    BlockFn&& blockFn);
+    void processBlock(std::size_t s0, std::size_t s1,
+                      const typename PointStore<D>::Mirror& mirror, Scratch& scratch,
+                      double* blockSizes);
     void batchKernel(Scratch& scratch, std::size_t m);
-    void recordStoreCounters();
-    void applyEpochs(std::size_t slot, KMeansCounters& counters);
     [[nodiscard]] std::uint32_t currentEpoch() const noexcept {
         return static_cast<std::uint32_t>(epochs_.size());
     }
@@ -172,8 +201,7 @@ private:
     std::vector<std::uint32_t> epoch_;
     std::vector<Epoch> epochs_;
 
-    // Budgeted active-set mirror: the shared tiled point representation
-    // (coords + weights in fixed tiles, active order, bounding box).
+    // Active bounding box and, when it fits the budget, the SoA mirror.
     PointStore<D> store_;
 
     // Round state.
@@ -184,8 +212,8 @@ private:
     std::vector<double> centerKey_;
     bool keysValid_ = false;  ///< pruning keys were computed this round
 
-    std::vector<double> blockSizes_;  ///< per-block weighted cluster sizes
-    std::vector<double> blockSums_;   ///< per-block center-update partials
+    std::vector<double> blockSizes_;  ///< one chunk's per-block weighted cluster sizes
+    std::vector<double> blockSums_;   ///< one chunk's per-block center-update partials
     std::vector<Scratch> scratch_;
     KMeansCounters counters_;
 };

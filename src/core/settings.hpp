@@ -86,16 +86,16 @@ struct Settings {
         return par::defaultRanks();
     }
 
-    /// Byte budget for the tiled point mirror every assignment sweep and
-    /// center update runs over (core::PointStore). 0 = unset: fall back to
-    /// GEO_MEM_BUDGET, then unlimited (the whole active set stays resident,
-    /// exactly the pre-budget behavior). A positive budget caps the mirror:
-    /// the store materializes the active set in budget-sized waves of fixed
-    /// 1024-point tiles and regenerates them from the caller's points on
-    /// every pass. Results are bitwise identical at every budget — wave
-    /// boundaries fall on the same fixed tile grid the threading contract
-    /// already reduces over (DESIGN.md "Memory model & tiling"). Budgets
-    /// smaller than one tile clamp up to one tile.
+    /// Byte budget for the SoA point mirror the assignment sweeps and
+    /// center updates read (core::PointStore). 0 = unset: fall back to
+    /// GEO_MEM_BUDGET, then unlimited (the whole active set is mirrored,
+    /// exactly the pre-budget behavior). A positive budget keeps the mirror
+    /// only while (D+1)·8 bytes per active point fit it; a larger active
+    /// set has no mirror, and the engine reads the points it scans
+    /// straight from the caller's arrays through the active order. Results
+    /// are bitwise identical at every budget: both sources hold the same
+    /// doubles, folded over the same fixed blocks in the same order
+    /// (DESIGN.md "Memory model & tiling").
     std::uint64_t memoryBudgetBytes = 0;
 
     /// The byte budget actually used: `memoryBudgetBytes` if set, else
@@ -135,9 +135,11 @@ struct KMeansCounters {
     std::uint64_t batchedDistanceCalcs = 0;    ///< distances evaluated by the SoA batch kernel
     std::uint64_t keyedPoints = 0;       ///< points run through SFC keying (phase 1)
     std::uint64_t sortedRecords = 0;     ///< records owned after the global sort (phase 2)
-    std::uint64_t peakTileBytes = 0;     ///< high-water tile-storage bytes (PointStore)
-    std::uint64_t residentBytes = 0;     ///< tile-storage bytes held at sweep end
-    std::uint64_t spilledTiles = 0;      ///< tile refills beyond each tile's first fill
+    /// Bytes of the largest PointStore mirror: 0 when no active prefix fit
+    /// the memory budget (every warm step under a budget it outgrows).
+    std::uint64_t peakTileBytes = 0;
+    std::uint64_t residentBytes = 0;     ///< mirror bytes held after the last setActive
+    std::uint64_t spilledTiles = 0;      ///< always 0: stores never refill (benches report it)
     int outerIterations = 0;             ///< center-movement rounds
 
     [[nodiscard]] double skipFraction() const noexcept {
@@ -159,8 +161,8 @@ inline constexpr std::array<std::uint64_t KMeansCounters::*, 10> kSummedCounters
     &KMeansCounters::balanceIterations, &KMeansCounters::epochBoundApplications,
     &KMeansCounters::batchedDistanceCalcs, &KMeansCounters::keyedPoints,
     &KMeansCounters::sortedRecords, &KMeansCounters::spilledTiles};
-/// Memory counters describe one store's high-water mark, so they take the
-/// max (the worst store), not the sum.
+/// Memory counters describe one store's mirror, so they take the max (the
+/// largest store), not the sum.
 inline constexpr std::array<std::uint64_t KMeansCounters::*, 2> kMaxedCounters{
     &KMeansCounters::peakTileBytes, &KMeansCounters::residentBytes};
 // A uint64_t counter missing from both tables fails here (the trailing slot

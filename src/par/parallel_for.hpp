@@ -38,10 +38,10 @@ void parallelFor(int threads, std::size_t n, Fn&& fn) {
     ThreadPool::forThisThread().run(threads, n, body);
 }
 
-/// Tile-aligned variant for callers whose floating-point partials live at
-/// fixed `tile`-item boundaries (the PointStore / assignment-engine cache
-/// blocks): `fn(begin, end, worker)` ranges cover [0, n) and begin/end are
-/// always multiples of `tile` (end clamps to n on the last tile). The split
+/// Tile-aligned variant for callers that work in fixed `tile`-item units
+/// (the geographer's keying tiles) or keep floating-point partials at tile
+/// boundaries: `fn(begin, end, worker)` ranges cover [0, n) and begin/end
+/// are always multiples of `tile` (end clamps to n on the last tile). The split
 /// is computed over whole tiles, so — like parallelFor — chunk boundaries
 /// depend only on n and tile, never on the thread count, and a caller that
 /// reduces per-tile partials in tile order stays bitwise reproducible.

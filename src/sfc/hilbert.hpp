@@ -37,7 +37,7 @@ Point<D> hilbertPoint(std::uint64_t index, const Box<D>& bounds);
 /// Points per keying tile — the span the chunked pipeline keys at a time
 /// (geographer fuses keying into its record build through one tile-sized
 /// stack buffer per worker instead of an n-wide key mirror). Matches the
-/// core::PointStore tile.
+/// assignment engine's cache block.
 inline constexpr std::size_t kKeyTile = 1024;
 
 /// Batch keying for a whole point set. Callers that already hold the global

@@ -309,6 +309,58 @@ TEST(AssignEngine, ThreadCountNeverChangesSizesBitwise) {
     }
 }
 
+TEST(AssignEngine, ChunkedFoldIsTheBlockOrderedLeftFold) {
+    // More blocks than one chunk of partials, the last block partial,
+    // fractional weights and a shuffled order: the sweep's sizes and the
+    // center update's sums must equal the per-block partials (slot order
+    // within a block) folded in ascending block order — with and without
+    // a mirror, at any thread count, however the blocks are chunked.
+    using Engine = AssignEngine<2>;
+    constexpr std::int32_t k = 8;
+    const std::size_t n = (Engine::kChunkBlocks + 1) * Engine::kBlockSlots + 333;
+    const auto points = randomPoints<2>(static_cast<int>(n), 401);
+    Xoshiro256 rng(409);
+    std::vector<double> weights;
+    for (std::size_t i = 0; i < n; ++i) weights.push_back(rng.uniform(0.1, 3.0));
+    auto order = identityOrder(n);
+    for (std::size_t i = n; i > 1; --i) std::swap(order[i - 1], order[rng.below(i)]);
+    const auto centers = randomPoints<2>(k, 419);
+    const std::vector<double> influence(k, 1.0);
+
+    std::vector<double> wantSizes(k, 0.0);
+    std::vector<double> wantSums(k * 3, 0.0);
+    for (std::size_t s0 = 0; s0 < n; s0 += Engine::kBlockSlots) {
+        std::vector<double> sizes(k, 0.0);
+        std::vector<double> sums(k * 3, 0.0);
+        for (std::size_t s = s0; s < std::min(n, s0 + Engine::kBlockSlots); ++s) {
+            const std::size_t p = order[s];
+            const auto c = static_cast<std::size_t>(nearestCenter(points[p], centers, influence));
+            sizes[c] += weights[p];
+            for (int d = 0; d < 2; ++d) sums[c * 3 + d] += weights[p] * points[p][d];
+            sums[c * 3 + 2] += weights[p];
+        }
+        for (std::size_t c = 0; c < sizes.size(); ++c) wantSizes[c] += sizes[c];
+        for (std::size_t c = 0; c < sums.size(); ++c) wantSums[c] += sums[c];
+    }
+
+    for (const std::uint64_t budget : {std::uint64_t{0}, std::uint64_t{1} << 20}) {
+        for (const int threads : {1, 3}) {
+            Settings s;
+            s.threads = threads;
+            s.memoryBudgetBytes = budget;
+            Engine engine(points, weights, order, s, k);
+            engine.setActive(n);
+            engine.beginRound(centers, influence, engine.activeBox());
+            std::vector<double> sizes(k);
+            std::vector<double> sums(k * 3);
+            engine.sweep(sizes);
+            engine.updateCenters(sums);
+            EXPECT_EQ(sizes, wantSizes) << "budget " << budget << " threads " << threads;
+            EXPECT_EQ(sums, wantSums) << "budget " << budget << " threads " << threads;
+        }
+    }
+}
+
 TEST(AssignEngine, ZeroActivePointsIsANoop) {
     const auto points = randomPoints<2>(10, 277);
     const auto centers = randomPoints<2>(3, 281);

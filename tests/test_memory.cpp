@@ -1,10 +1,11 @@
 // Memory-budget suite: parseMemBytes / GEO_MEM_BUDGET resolution, the
-// tiled core::PointStore (wave geometry, gather correctness, accounting),
-// and the tentpole contract — a budgeted (chunked) pipeline reproduces the
-// resident pipeline BITWISE for flat, warm-started, and hierarchical runs
-// at several thread counts. The chunked path only regroups the engine's
-// fixed 1024-point blocks into waves and folds them in the same ascending
-// order, so not a single double may differ.
+// core::PointStore mirror (residency boundary, gather correctness,
+// accounting), and the contract that a budgeted pipeline — which reads the
+// points through the order instead of a mirror — reproduces the resident
+// pipeline BITWISE for flat, warm-started, and hierarchical runs at several
+// thread counts. Both sources hand the engine the same doubles and it folds
+// its fixed 1024-slot blocks in the same ascending order, so not a single
+// double may differ.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -14,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "core/assign_kernel.hpp"
 #include "core/geographer.hpp"
 #include "core/point_store.hpp"
 #include "core/settings.hpp"
@@ -27,9 +29,12 @@
 
 namespace {
 
+using geo::Box2;
 using geo::Point2;
 using geo::Xoshiro256;
+using geo::core::AssignEngine;
 using geo::core::GeographerResult;
+using geo::core::KMeansCounters;
 using geo::core::PointStore;
 using geo::core::Settings;
 using geo::support::parseMemBytes;
@@ -105,69 +110,76 @@ protected:
     std::vector<std::size_t> order_;
 };
 
-TEST_F(PointStoreFixture, UnlimitedBudgetIsResidentInOneWave) {
-    PointStore<2> store(points_, weights_, /*budgetBytes=*/0);
-    store.setActive(order_, points_.size(), 2);
-    EXPECT_TRUE(store.resident());
-    EXPECT_EQ(store.waveCount(), 1u);
-    EXPECT_EQ(store.wavePoints(), points_.size());
-    EXPECT_EQ(store.accounting().spilledTiles, 0u);
+TEST_F(PointStoreFixture, ResidentExactlyWhenTheActiveSetFitsTheBudget) {
+    constexpr std::uint64_t bpp = PointStore<2>::kBytesPerPoint;
+    const std::size_t active = 3000;
+    const std::uint64_t fits = bpp * active;
+
+    PointStore<2> unlimited(points_, weights_, /*budgetBytes=*/0);
+    unlimited.setActive(order_, active, 2);
+    EXPECT_TRUE(unlimited.resident());
+
+    PointStore<2> exact(points_, weights_, fits);
+    exact.setActive(order_, active, 2);
+    EXPECT_TRUE(exact.resident());
+    EXPECT_EQ(exact.accounting().residentBytes, fits);
+
+    PointStore<2> oneShort(points_, weights_, fits - 1);
+    oneShort.setActive(order_, active, 2);
+    EXPECT_FALSE(oneShort.resident());
+    // One point less fits the same budget again.
+    oneShort.setActive(order_, active - 1, 2);
+    EXPECT_TRUE(oneShort.resident());
+    EXPECT_EQ(oneShort.accounting().residentBytes, bpp * (active - 1));
 }
 
-TEST_F(PointStoreFixture, TightBudgetChunksIntoTileAlignedWaves) {
-    // 2D: 24 bytes/point. 32768 bytes -> 1365 points -> one whole tile.
-    PointStore<2> store(points_, weights_, 32768);
-    store.setActive(order_, points_.size(), 2);
-    EXPECT_FALSE(store.resident());
-    EXPECT_EQ(store.wavePoints(), PointStore<2>::kTilePoints);
-    EXPECT_EQ(store.waveCount(),
-              (points_.size() + PointStore<2>::kTilePoints - 1) /
-                  PointStore<2>::kTilePoints);
-    EXPECT_LE(store.accounting().residentBytes,
-              PointStore<2>::kTilePoints * PointStore<2>::kBytesPerPoint);
-}
-
-TEST_F(PointStoreFixture, BudgetSmallerThanOneTileClampsUp) {
-    PointStore<2> store(points_, weights_, /*budgetBytes=*/1);
-    store.setActive(order_, points_.size(), 1);
-    EXPECT_FALSE(store.resident());
-    EXPECT_EQ(store.wavePoints(), PointStore<2>::kTilePoints);
-}
-
-TEST_F(PointStoreFixture, WavesGatherTheActiveOrderExactly) {
-    // A non-identity order (reversed) through a chunked store: every wave
-    // slot j must hold point order[begin + j] and its weight.
+TEST_F(PointStoreFixture, MirrorHoldsThePointsInActiveOrder) {
+    // A non-identity order (reversed): mirror slot s must hold point
+    // order[s] and its weight; without weights every slot weighs 1.
     std::vector<std::size_t> reversed(order_.rbegin(), order_.rend());
-    PointStore<2> store(points_, weights_, 49152);  // 2048-point waves
-    store.setActive(reversed, points_.size(), 3);
-    ASSERT_GT(store.waveCount(), 1u);
-    for (std::size_t w = 0; w < store.waveCount(); ++w) {
-        const auto view = store.wave(w, 3);
-        EXPECT_EQ(view.begin % PointStore<2>::kTilePoints, 0u);
-        for (std::size_t j = 0; j < view.count; ++j) {
-            const std::size_t p = reversed[view.begin + j];
-            ASSERT_EQ(view.x[0][j], points_[p][0]) << "wave " << w << " slot " << j;
-            ASSERT_EQ(view.x[1][j], points_[p][1]);
-            ASSERT_EQ(view.weight[j], weights_[p]);
-        }
+    PointStore<2> store(points_, weights_, /*budgetBytes=*/0);
+    store.setActive(reversed, 4321, 3);
+    PointStore<2> unit(points_, {}, /*budgetBytes=*/0);
+    unit.setActive(reversed, 4321, 3);
+    const auto mirror = store.mirror();
+    const auto unitMirror = unit.mirror();
+    ASSERT_NE(mirror.weight, nullptr);
+    ASSERT_NE(unitMirror.weight, nullptr);
+    for (std::size_t s = 0; s < store.activeCount(); ++s) {
+        const std::size_t p = reversed[s];
+        ASSERT_EQ(mirror.x[0][s], points_[p][0]) << "slot " << s;
+        ASSERT_EQ(mirror.x[1][s], points_[p][1]) << "slot " << s;
+        ASSERT_EQ(mirror.weight[s], weights_[p]) << "slot " << s;
+        ASSERT_EQ(unitMirror.weight[s], 1.0) << "slot " << s;
     }
 }
 
-TEST_F(PointStoreFixture, SpilledTilesCountRefillsOnly) {
-    PointStore<2> store(points_, weights_, 49152);
-    store.setActive(order_, points_.size(), 1);
-    const std::size_t waves = store.waveCount();
-    ASSERT_GT(waves, 1u);
-    // First full pass: every tile gathered once, nothing is a refill yet.
-    for (std::size_t w = 0; w < waves; ++w) (void)store.wave(w, 1);
-    EXPECT_EQ(store.accounting().spilledTiles, 0u);
-    // Second pass re-gathers every wave: now each tile fill is a spill.
-    for (std::size_t w = 0; w < waves; ++w) (void)store.wave(w, 1);
-    EXPECT_GT(store.accounting().spilledTiles, 0u);
-    // Re-requesting the loaded wave is free — no fill, no spill.
-    const auto spills = store.accounting().spilledTiles;
-    (void)store.wave(waves - 1, 1);
-    EXPECT_EQ(store.accounting().spilledTiles, spills);
+TEST_F(PointStoreFixture, NoMirrorPastTheBoundary) {
+    std::vector<std::size_t> reversed(order_.rbegin(), order_.rend());
+    const std::size_t active = 4000;
+    PointStore<2> store(points_, weights_, PointStore<2>::kBytesPerPoint * active - 1);
+    // A prefix that fits is mirrored first; growing past the budget
+    // releases the mirror and keeps only its peak.
+    store.setActive(reversed, active / 2, 1);
+    ASSERT_TRUE(store.resident());
+    store.setActive(reversed, active, 1);
+    EXPECT_FALSE(store.resident());
+    EXPECT_EQ(store.accounting().residentBytes, 0u);
+    EXPECT_EQ(store.accounting().peakResidentBytes,
+              PointStore<2>::kBytesPerPoint * (active / 2));
+    const auto mirror = store.mirror();
+    EXPECT_EQ(mirror.x[0], nullptr);
+    EXPECT_EQ(mirror.x[1], nullptr);
+    EXPECT_EQ(mirror.weight, nullptr);
+    // The box does not depend on the mirror.
+    Box2 box = Box2::empty();
+    for (std::size_t s = 0; s < active; ++s) box.extend(points_[reversed[s]]);
+    EXPECT_EQ(store.activeBox().lo, box.lo);
+    EXPECT_EQ(store.activeBox().hi, box.hi);
+
+    PointStore<2> never(points_, weights_, PointStore<2>::kBytesPerPoint * active - 1);
+    never.setActive(reversed, active, 1);
+    EXPECT_EQ(never.accounting().peakResidentBytes, 0u);
 }
 
 /// The tentpole assertion: identical bits with and without a budget.
@@ -178,10 +190,15 @@ void expectSameResult(const GeographerResult& got, const GeographerResult& want,
     EXPECT_EQ(got.influence, want.influence) << label;
     EXPECT_EQ(got.imbalance, want.imbalance) << label;
     EXPECT_EQ(got.converged, want.converged) << label;
-    // The sweeps must take the very same decisions point by point.
-    EXPECT_EQ(got.counters.pointEvaluations, want.counters.pointEvaluations) << label;
-    EXPECT_EQ(got.counters.boundSkips, want.counters.boundSkips) << label;
-    EXPECT_EQ(got.counters.distanceCalcs, want.counters.distanceCalcs) << label;
+    // The sweeps must take the very same decisions point by point: every
+    // work counter matches (spilledTiles aside, a memory figure).
+    for (std::size_t i = 0; i < geo::core::kSummedCounters.size(); ++i) {
+        const auto field = geo::core::kSummedCounters[i];
+        if (field == &KMeansCounters::spilledTiles) continue;
+        EXPECT_EQ(got.counters.*field, want.counters.*field)
+            << label << ", kSummedCounters[" << i << "]";
+    }
+    EXPECT_EQ(got.counters.outerIterations, want.counters.outerIterations) << label;
 }
 
 TEST(ChunkedVsResident, FlatPartitionBitwise) {
@@ -205,16 +222,13 @@ TEST(ChunkedVsResident, FlatPartitionBitwise) {
             expectSameResult(got, want,
                              "budget " + std::to_string(budget) + " t" +
                                  std::to_string(threads));
-            // Counter plausibility: running under budget must actually spill,
-            // and the tile high-water mark must respect the wave cap.
-            EXPECT_GT(got.counters.spilledTiles, 0u);
+            // Nothing is ever refilled. A rank's 3000 points outgrow the
+            // budget, so the final store holds no mirror; only the first
+            // sampled prefixes (100 points doubling) fit and were mirrored.
+            EXPECT_EQ(got.counters.spilledTiles, 0u);
+            EXPECT_EQ(got.counters.residentBytes, 0u);
             EXPECT_GT(got.counters.peakTileBytes, 0u);
-            const std::uint64_t bpp = PointStore<2>::kBytesPerPoint;
-            const std::uint64_t wavePoints =
-                std::max<std::uint64_t>(PointStore<2>::kTilePoints,
-                                        budget / bpp / PointStore<2>::kTilePoints *
-                                            PointStore<2>::kTilePoints);
-            EXPECT_LE(got.counters.peakTileBytes, wavePoints * bpp);
+            EXPECT_LE(got.counters.peakTileBytes, budget);
         }
     }
 }
@@ -249,7 +263,10 @@ TEST(ChunkedVsResident, WarmRepartitionBitwise) {
         EXPECT_EQ(got.second.warmStarted, want.second.warmStarted) << label;
         expectSameResult(got.first.result, want.first.result, label + " step1");
         expectSameResult(got.second.result, want.second.result, label + " step2");
-        EXPECT_GT(got.second.result.counters.spilledTiles, 0u);
+        // The warm step activates every point at once (no sampling): no
+        // prefix fits, so no mirror is ever built.
+        EXPECT_EQ(got.second.result.counters.spilledTiles, 0u);
+        EXPECT_EQ(got.second.result.counters.peakTileBytes, 0u);
     }
 }
 
@@ -285,9 +302,45 @@ TEST(ChunkedVsResident, EnvironmentBudgetDrivesTheEngineToo) {
     const auto want = geo::core::partitionGeographer<2>(mesh.points, {}, 6, 1, s);
     const ScopedEnv env("GEO_MEM_BUDGET", "32k");
     const auto got = geo::core::partitionGeographer<2>(mesh.points, {}, 6, 1, s);
-    EXPECT_EQ(got.partition, want.partition);
-    EXPECT_EQ(got.centerCoords, want.centerCoords);
-    EXPECT_GT(got.counters.spilledTiles, 0u);
+    expectSameResult(got, want, "GEO_MEM_BUDGET=32k");
+    EXPECT_EQ(got.counters.spilledTiles, 0u);
+    EXPECT_EQ(got.counters.residentBytes, 0u);
+}
+
+TEST(ChunkedVsResident, MoreBlocksThanOneChunkBitwise) {
+    // One rank holding more blocks than one chunk of partials, the last
+    // block partial: reading through the order must reproduce the mirrored
+    // run in every chunk, fractional weights and all. (The fold itself is
+    // checked against a reference in test_assign_engine.)
+    constexpr std::size_t n =
+        (AssignEngine<2>::kChunkBlocks + 1) * AssignEngine<2>::kBlockSlots + 617;
+    Xoshiro256 rng(341);
+    std::vector<Point2> points(n);
+    for (auto& p : points) {
+        p[0] = rng.uniform();
+        p[1] = rng.uniform();
+    }
+    const auto weights = fractionalWeights(n, 342);
+    const std::int32_t k = 16;
+    const auto settings = [](int threads, std::uint64_t budget) {
+        Settings s;
+        s.threads = threads;
+        s.memoryBudgetBytes = budget;
+        s.sampledInitialization = false;
+        s.maxIterations = 3;
+        return s;
+    };
+
+    const auto want =
+        geo::core::partitionGeographer<2>(points, weights, k, /*ranks=*/1, settings(1, 0));
+    EXPECT_GT(want.counters.peakTileBytes, 0u);
+    for (const int threads : {1, 4}) {
+        const auto got = geo::core::partitionGeographer<2>(points, weights, k, 1,
+                                                           settings(threads, 1u << 20));
+        expectSameResult(got, want, "chunked t" + std::to_string(threads));
+        EXPECT_EQ(got.counters.spilledTiles, 0u);
+        EXPECT_EQ(got.counters.peakTileBytes, 0u);
+    }
 }
 
 }  // namespace

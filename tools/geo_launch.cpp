@@ -17,8 +17,12 @@
 // equals the worker count runs on it.
 //
 // Supervision (DESIGN.md "Failure model & recovery"):
-//   * A ~50 ms waitpid heartbeat detects the FIRST failing rank and prints
-//     a structured report (rank, pid, exit status or signal name).
+//   * SIGCHLD stays blocked and the supervisor sleeps in sigtimedwait
+//     (50 ms heartbeat), so a dead rank is reaped the moment it dies, before
+//     the peers it strands abort in turn. Every wakeup reaps every exited
+//     rank, the one whose SIGCHLD woke it first, and reports each death the
+//     launcher's own SIGTERM/SIGKILL did not cause (rank, pid, exit status
+//     or signal name).
 //   * One dead rank deadlocks the survivors mid-collective (their deadlines
 //     would eventually fire, but there is nothing useful left to compute),
 //     so the supervisor tears the mesh down: SIGTERM to every survivor, a
@@ -32,13 +36,14 @@
 //     peer turns into a typed TransportError instead of a hang.
 //
 // Exit status: 0 when every rank of some attempt exits 0; otherwise the
-// first failing rank's status of the last attempt (128+signal for signal
-// deaths).
+// first reaped failing rank's status of the last attempt (128+signal for
+// signal deaths).
 #include <sys/stat.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <csignal>
 #include <cstdio>
@@ -46,6 +51,7 @@
 #include <cstring>
 #include <ctime>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace {
@@ -84,7 +90,18 @@ struct LaunchPlan {
     int portBase = 0;
     int graceMs = 2000;
     char** cmd = nullptr;
+    sigset_t workerMask{};  ///< the launcher's original mask, restored in each worker
 };
+
+/// Supervisor heartbeat: the longest sigtimedwait sleep.
+constexpr double kHeartbeatSeconds = 0.05;
+
+sigset_t childSignal() {
+    sigset_t set;
+    sigemptyset(&set);
+    sigaddset(&set, SIGCHLD);
+    return set;
+}
 
 void describeExit(int rank, pid_t pid, int status) {
     if (WIFSIGNALED(status)) {
@@ -103,9 +120,9 @@ int exitCode(int status) {
     return 1;
 }
 
-/// Run one fleet: fork/exec every rank, heartbeat-supervise, tear down on
-/// first failure. Returns 0 when all ranks exited 0, else the first failing
-/// rank's exit code.
+/// Run one fleet: fork/exec every rank, supervise, tear down on the first
+/// failure. Returns 0 when all ranks exited 0, else the first failing
+/// rank's exit code. SIGCHLD must be blocked (main does it).
 int runAttempt(const LaunchPlan& plan, int attempt) {
     // Stale endpoints from a crashed previous attempt would make bind fail
     // or, worse, dial into a dead socket file.
@@ -124,6 +141,7 @@ int runAttempt(const LaunchPlan& plan, int attempt) {
             return 1;
         }
         if (pid == 0) {
+            sigprocmask(SIG_SETMASK, &plan.workerMask, nullptr);
             setenv("GEO_RANK", std::to_string(r).c_str(), 1);
             setenv("GEO_RANKS", std::to_string(plan.ranks).c_str(), 1);
             setenv("GEO_RESTART_ATTEMPT", std::to_string(attempt).c_str(), 1);
@@ -147,6 +165,7 @@ int runAttempt(const LaunchPlan& plan, int attempt) {
         return -1;
     };
 
+    const sigset_t chld = childSignal();
     int failStatus = 0;
     int live = plan.ranks;
     std::vector<bool> alive(static_cast<std::size_t>(plan.ranks), true);
@@ -155,35 +174,55 @@ int runAttempt(const LaunchPlan& plan, int attempt) {
     double killAt = 0.0;  // SIGKILL deadline once teardown starts
 
     while (live > 0) {
+        // Sleep until a rank dies, the heartbeat ends, or a pending
+        // teardown's grace period runs out.
+        double wait = kHeartbeatSeconds;
+        if (termSent && !killSent)
+            wait = std::max(0.0, std::min(wait, killAt - monotonicSeconds()));
+        timespec timeout{};
+        timeout.tv_nsec = static_cast<long>(wait * 1e9);
+        siginfo_t info{};
+        const int sig = sigtimedwait(&chld, &info, &timeout);
+
+        // Reap every exited rank. The one whose SIGCHLD woke us died first:
+        // reap it before the rest, which waitpid(-1) returns in fork order.
+        std::vector<std::pair<pid_t, int>> dead;
         int status = 0;
-        const pid_t pid = waitpid(-1, &status, WNOHANG);
-        if (pid < 0) {
-            if (errno == EINTR) continue;
-            break;  // nothing left to reap (should not happen while live > 0)
-        }
-        if (pid == 0) {
-            // Heartbeat tick: nobody exited. Escalate a pending teardown
-            // whose grace period ran out.
-            if (termSent && !killSent && monotonicSeconds() >= killAt) {
-                for (int r = 0; r < plan.ranks; ++r)
-                    if (alive[static_cast<std::size_t>(r)])
-                        kill(pids[static_cast<std::size_t>(r)], SIGKILL);
-                killSent = true;
+        if (sig == SIGCHLD && info.si_pid > 0 &&
+            waitpid(info.si_pid, &status, WNOHANG) == info.si_pid)
+            dead.emplace_back(info.si_pid, status);
+        bool noChildren = false;
+        for (;;) {
+            const pid_t pid = waitpid(-1, &status, WNOHANG);
+            if (pid > 0) {
+                dead.emplace_back(pid, status);
+            } else if (pid < 0 && errno == EINTR) {
+                continue;
+            } else {
+                // 0: the rest still run; ECHILD: nothing left to reap
+                // (should not happen while live > 0).
+                noChildren = pid < 0;
+                break;
             }
-            usleep(50 * 1000);
-            continue;
         }
-        const int rank = rankOf(pid);
-        if (rank >= 0) alive[static_cast<std::size_t>(rank)] = false;
-        --live;
-        const int rc = exitCode(status);
-        if (rc != 0) {
-            // During teardown our own SIGTERM/SIGKILL deaths are expected —
-            // only failures BEFORE the teardown are the fleet's fault.
-            if (!termSent) describeExit(rank, pid, status);
+
+        for (const auto& [pid, st] : dead) {
+            const int rank = rankOf(pid);
+            if (rank >= 0) alive[static_cast<std::size_t>(rank)] = false;
+            --live;
+            const int rc = exitCode(st);
+            if (rc == 0) continue;
+            // Deaths by the teardown's own signals are expected; every
+            // other failure is the fleet's, whenever it happens.
+            const bool ours = WIFSIGNALED(st) &&
+                              ((termSent && WTERMSIG(st) == SIGTERM) ||
+                               (killSent && WTERMSIG(st) == SIGKILL));
+            if (!ours) describeExit(rank, pid, st);
             if (failStatus == 0) failStatus = rc;
         }
-        if (rc != 0 && !termSent) {
+        if (noChildren) break;
+
+        if (failStatus != 0 && !termSent) {
             // One dead rank deadlocks the rest mid-collective: take the
             // whole job down gracefully and report the original failure.
             int survivors = 0;
@@ -198,6 +237,11 @@ int runAttempt(const LaunchPlan& plan, int attempt) {
                              survivors, plan.graceMs);
             termSent = true;
             killAt = monotonicSeconds() + plan.graceMs * 1e-3;
+        } else if (termSent && !killSent && monotonicSeconds() >= killAt) {
+            for (int r = 0; r < plan.ranks; ++r)
+                if (alive[static_cast<std::size_t>(r)])
+                    kill(pids[static_cast<std::size_t>(r)], SIGKILL);
+            killSent = true;
         }
     }
     return failStatus;
@@ -303,6 +347,11 @@ int main(int argc, char** argv) {
     plan.portBase = portBase;
     plan.graceMs = graceMs;
     plan.cmd = argv + cmdStart;
+    // SIGCHLD stays blocked for the launcher's lifetime so the supervisor
+    // can wait for it in sigtimedwait; each worker gets the original mask
+    // back before exec.
+    const sigset_t chld = childSignal();
+    sigprocmask(SIG_BLOCK, &chld, &plan.workerMask);
 
     int failStatus = 0;
     for (int attempt = 0; attempt <= restart; ++attempt) {
