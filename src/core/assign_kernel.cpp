@@ -15,6 +15,13 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// How many sorted centers the batch kernel scans between lane-retirement
+/// passes. A lane (point) is finished as soon as the next center's pruning
+/// key exceeds its second-best — the seed algorithm's per-point break — so
+/// the interval only bounds how many extra candidates a finished lane may
+/// see before it is compacted away.
+constexpr std::size_t kRetireInterval = 4;
+
 }  // namespace
 
 template <int D>
@@ -73,12 +80,13 @@ void AssignEngine<D>::beginRound(std::span<const Point<D>> centers,
                 "need one center and one influence value per cluster");
     centers_ = centers;
     influence_ = influence;
-    invInfluence2_.resize(static_cast<std::size_t>(k_));
-    for (std::int32_t c = 0; c < k_; ++c) {
-        const double inf = influence_[static_cast<std::size_t>(c)];
-        invInfluence2_[static_cast<std::size_t>(c)] = 1.0 / (inf * inf);
-    }
-    sortedCenters_.resize(static_cast<std::size_t>(k_));
+    const auto k = static_cast<std::size_t>(k_);
+    const auto invInfluence2 = [&](std::size_t c) {
+        const double inf = influence_[c];
+        return 1.0 / (inf * inf);
+    };
+    run_.resize(k * (D + 2));
+    sortedCenters_.resize(k);
     std::iota(sortedCenters_.begin(), sortedCenters_.end(), 0);
     // The stale-key guard: keys are valid only when computed *this round*
     // against *this round's* box. A round with an invalid box (e.g. no
@@ -88,10 +96,10 @@ void AssignEngine<D>::beginRound(std::span<const Point<D>> centers,
     // assign a point to the wrong cluster.
     keysValid_ = false;
     if (settings_.boundingBoxPruning && activeBox.valid()) {
-        centerKey_.resize(static_cast<std::size_t>(k_));
+        centerKey_.resize(k);
         for (std::int32_t c = 0; c < k_; ++c) {
             const auto ci = static_cast<std::size_t>(c);
-            centerKey_[ci] = activeBox.minSquaredDistance(centers_[ci]) * invInfluence2_[ci];
+            centerKey_[ci] = activeBox.minSquaredDistance(centers_[ci]) * invInfluence2(ci);
         }
         // Ascending (key, id): every center inside the active box has key 0,
         // and the batch kernel keeps the first of exactly tied candidates,
@@ -105,6 +113,33 @@ void AssignEngine<D>::beginRound(std::span<const Point<D>> centers,
                   });
         keysValid_ = true;
     }
+
+    // The kernel's run form of the sorted centers, laid out once per round.
+    for (std::size_t i = 0; i < k; ++i) {
+        const auto c = static_cast<std::size_t>(sortedCenters_[i]);
+        for (int d = 0; d < D; ++d) run_[static_cast<std::size_t>(d) * k + i] = centers_[c][d];
+        run_[D * k + i] = invInfluence2(c);
+        run_[(D + 1) * k + i] = static_cast<double>(c);
+    }
+}
+
+/// The exclusive end of the run of sorted centers that starts at `begin`:
+/// the batch kernel folds a run in one call and ends it where a
+/// lane-retirement pass can retire anything. A pass follows every
+/// kRetireInterval-th center and the second-to-last one; it retires a lane
+/// once the next center's key exceeds the lane's second-best, which is
+/// never negative, so only a pass whose next key is positive ends a run.
+/// Keys ascend, so when every key is 0 — every center inside the active
+/// box — all k centers are one run.
+template <int D>
+std::size_t AssignEngine<D>::runEnd(std::size_t begin) const {
+    const auto k = static_cast<std::size_t>(k_);
+    for (std::size_t ci = begin; keysValid_ && ci + 1 < k; ++ci) {
+        const bool retireStep = (ci % kRetireInterval) == kRetireInterval - 1 || ci + 2 == k;
+        if (retireStep && centerKey_[static_cast<std::size_t>(sortedCenters_[ci + 1])] > 0.0)
+            return ci + 1;
+    }
+    return k;
 }
 
 /// Run `blockFn(s0, s1, worker, partial)` over every fixed block [s0, s1)
@@ -215,14 +250,15 @@ void AssignEngine<D>::processBlock(std::size_t s0, std::size_t s1,
     // One pass over the block's slots: replay the epochs [seen, cur) a
     // point missed, in order (the same multiply/add per epoch the eager
     // sweeps performed), skip it when ub < lb proves its membership
-    // unchanged, and write every other point's slot and coordinates into
-    // the next lane — from the mirror, or from the caller's point through
-    // the order.
+    // unchanged, and queue every other point's slot in the next lane. The
+    // queue write is unconditional and only the lane count depends on the
+    // skip, so the loop has no branch on it.
     std::uint64_t skips = 0;
     std::uint64_t replays = 0;
     std::size_t m = 0;
     for (std::size_t s = s0; s < s1; ++s) {
         const std::int32_t c = assignment[s];
+        bool skip = false;
         if (bounds && c >= 0) {
             const auto cluster = static_cast<std::size_t>(c);
             double u = ub[s];
@@ -235,20 +271,25 @@ void AssignEngine<D>::processBlock(std::size_t s0, std::size_t s1,
                 lb[s] = l;
                 epoch[s] = cur;
             }
-            if (u < l) {
-                ++skips;
-                continue;
-            }
+            skip = u < l;
         }
         laneSlot[m] = s;
-        if (mirror.weight != nullptr) {
-            for (int d = 0; d < D; ++d)
-                gx[static_cast<std::size_t>(d)][m] = mirror.x[static_cast<std::size_t>(d)][s];
-        } else {
-            const Point<D>& p = points_[order[s]];
-            for (int d = 0; d < D; ++d) gx[static_cast<std::size_t>(d)][m] = p[d];
+        m += !skip;
+        skips += skip;
+    }
+    // The queued lanes' coordinates, from the mirror or from the caller's
+    // points through the order.
+    if (mirror.weight != nullptr) {
+        for (int d = 0; d < D; ++d) {
+            const double* src = mirror.x[static_cast<std::size_t>(d)];
+            double* dst = gx[static_cast<std::size_t>(d)];
+            for (std::size_t j = 0; j < m; ++j) dst[j] = src[laneSlot[j]];
         }
-        ++m;
+    } else {
+        for (std::size_t j = 0; j < m; ++j) {
+            const Point<D>& p = points_[order[laneSlot[j]]];
+            for (int d = 0; d < D; ++d) gx[static_cast<std::size_t>(d)][j] = p[d];
+        }
     }
     scratch.counters.pointEvaluations += s1 - s0;
     scratch.counters.boundSkips += skips;
@@ -268,21 +309,12 @@ void AssignEngine<D>::processBlock(std::size_t s0, std::size_t s1,
     }
 }
 
-namespace {
-/// How many sorted centers the batch kernel scans between lane-retirement
-/// passes. A lane (point) is finished as soon as the next center's pruning
-/// key exceeds its second-best — the seed algorithm's per-point break — so
-/// the interval only bounds how many extra candidates a finished lane may
-/// see before it is compacted away.
-constexpr std::size_t kRetireInterval = 4;
-}  // namespace
-
 /// Centers-outer, lanes-inner squared-domain scan over one gathered block:
-/// the shared tile kernel (core/tile_kernel.hpp) folds each sorted center
-/// into the live lanes, tracking best and runner-up. Lanes whose per-point
-/// pruning break has fired are materialized and compacted out every
-/// kRetireInterval centers, keeping the live lanes contiguous; the pass
-/// runs only when the next center's pruning key is positive.
+/// the shared tile kernel (core/tile_kernel.hpp) folds each run of sorted
+/// centers (see runEnd) into the live lanes in one call, tracking best
+/// and runner-up. After every run but the last, lanes whose per-point
+/// pruning break has fired are materialized and compacted out, keeping the
+/// live lanes contiguous.
 template <int D>
 void AssignEngine<D>::batchKernel(Scratch& scratch, std::size_t m) {
     std::fill_n(scratch.best2.begin(), m, kInf);
@@ -321,48 +353,46 @@ void AssignEngine<D>::batchKernel(Scratch& scratch, std::size_t m) {
     lanes.second2 = scratch.second2.data();
     lanes.secondC = scratch.secondC.data();
 
+    const auto k = static_cast<std::size_t>(k_);
     std::size_t live = m;
-    const std::size_t kCount = sortedCenters_.size();
-    for (std::size_t ci = 0; ci < kCount && live > 0; ++ci) {
-        const auto c = static_cast<std::size_t>(sortedCenters_[ci]);
-        foldCenter<D, true>(lanes, live, centers_[c], invInfluence2_[c],
-                            static_cast<double>(c));
-        scratch.counters.distanceCalcs += live;
-        scratch.counters.batchedDistanceCalcs += live;
+    for (std::size_t begin = 0; live > 0;) {
+        const std::size_t end = runEnd(begin);
+        CenterRun<D> run;
+        for (std::size_t d = 0; d < static_cast<std::size_t>(D); ++d)
+            run.x[d] = run_.data() + d * k + begin;
+        run.invInfluence2 = run_.data() + D * k + begin;
+        run.id = run_.data() + (D + 1) * k + begin;
+        run.size = end - begin;
+        foldCenters<D, true>(lanes, live, run);
+        scratch.counters.distanceCalcs += run.size * live;
+        scratch.counters.batchedDistanceCalcs += run.size * live;
+        if (end == k) break;
+        begin = end;
 
         // Retire finished lanes. Keys are sorted ascending, so once
         // key[next] > second2[lane] holds, no remaining center can displace
-        // the lane's best or runner-up: both are final. second2 is never
-        // negative, so a pass against a key that is not positive (every
-        // center inside the active box has key 0) retires nothing and is
-        // skipped.
-        const bool retireStep =
-            keysValid_ && ci + 1 < kCount &&
-            ((ci % kRetireInterval) == kRetireInterval - 1 || ci + 2 == kCount);
-        const double nextKey =
-            retireStep ? centerKey_[static_cast<std::size_t>(sortedCenters_[ci + 1])] : 0.0;
-        if (nextKey > 0.0) {
-            std::size_t w = 0;
-            for (std::size_t j = 0; j < live; ++j) {
-                if (nextKey > scratch.second2[j]) {
-                    scratch.counters.bboxBreaks++;
-                    materialize(j);
-                    continue;
-                }
-                if (w != j) {
-                    scratch.slots[w] = scratch.slots[j];
-                    for (int d = 0; d < D; ++d)
-                        scratch.gx[static_cast<std::size_t>(d)][w] =
-                            scratch.gx[static_cast<std::size_t>(d)][j];
-                    scratch.best2[w] = scratch.best2[j];
-                    scratch.second2[w] = scratch.second2[j];
-                    scratch.bestC[w] = scratch.bestC[j];
-                    scratch.secondC[w] = scratch.secondC[j];
-                }
-                ++w;
+        // the lane's best or runner-up: both are final.
+        const double nextKey = centerKey_[static_cast<std::size_t>(sortedCenters_[end])];
+        std::size_t w = 0;
+        for (std::size_t j = 0; j < live; ++j) {
+            if (nextKey > scratch.second2[j]) {
+                scratch.counters.bboxBreaks++;
+                materialize(j);
+                continue;
             }
-            live = w;
+            if (w != j) {
+                scratch.slots[w] = scratch.slots[j];
+                for (int d = 0; d < D; ++d)
+                    scratch.gx[static_cast<std::size_t>(d)][w] =
+                        scratch.gx[static_cast<std::size_t>(d)][j];
+                scratch.best2[w] = scratch.best2[j];
+                scratch.second2[w] = scratch.second2[j];
+                scratch.bestC[w] = scratch.bestC[j];
+                scratch.secondC[w] = scratch.secondC[j];
+            }
+            ++w;
         }
+        live = w;
     }
     for (std::size_t j = 0; j < live; ++j) materialize(j);
 }

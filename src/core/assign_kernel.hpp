@@ -32,11 +32,15 @@
 //      (unlimited, or kBytesPerPoint · active ≤ budget), and holds no
 //      mirror otherwise. The sweep walks fixed 1024-slot blocks; one pass
 //      over a block's contiguous slot range replays missed epochs, skips
-//      what the bounds allow, and writes the slot and coordinates of every
-//      other point into contiguous lanes — from the mirror, or without one
-//      straight from the caller's points through the order — then folds
-//      the centers into the lanes one at a time, in ascending (pruning
-//      key, id) order, tracking best and second best per lane. A block's
+//      what the bounds allow, and queues the slot of every other point
+//      without a branch; a second loop copies the queued points'
+//      coordinates into contiguous lanes — from the mirror, or without one
+//      straight from the caller's points through the order. beginRound
+//      lays the centers out once per round in ascending (pruning key, id)
+//      order as a run (core::CenterRun), and the kernel folds each stretch
+//      of it up to the next lane-retirement pass that can retire anything
+//      in one tile-kernel call, tracking best and second best per lane
+//      (all k centers in one call when every key is 0). A block's
 //      bounds, sizes and mirror rows are one contiguous slot range, so a
 //      sampled (randomly ordered) sweep reads and writes its state
 //      sequentially and two workers share a cache line only at a block
@@ -184,6 +188,7 @@ private:
                       const typename PointStore<D>::Mirror& mirror, Scratch& scratch,
                       double* blockSizes);
     void batchKernel(Scratch& scratch, std::size_t m);
+    [[nodiscard]] std::size_t runEnd(std::size_t begin) const;
     [[nodiscard]] std::uint32_t currentEpoch() const noexcept {
         return static_cast<std::uint32_t>(epochs_.size());
     }
@@ -207,7 +212,10 @@ private:
     // Round state.
     std::span<const Point<D>> centers_;
     std::span<const double> influence_;
-    std::vector<double> invInfluence2_;
+    /// The sorted centers in the kernel's run form (core::CenterRun), in one
+    /// allocation of k·(D + 2) doubles: D coordinate rows, the 1/influence²
+    /// row, then the id row, each indexed by sorted position.
+    std::vector<double> run_;
     std::vector<std::int32_t> sortedCenters_;
     std::vector<double> centerKey_;
     bool keysValid_ = false;  ///< pruning keys were computed this round

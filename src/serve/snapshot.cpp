@@ -92,6 +92,10 @@ void PartitionSnapshot<D>::finalize() {
                 centers[static_cast<std::size_t>(c)][d] =
                     flat.cx[static_cast<std::size_t>(d)][static_cast<std::size_t>(c)];
         tree_.emplace(centers, flat.influence);
+    } else if (depth() == 1) {
+        kernelIds_.resize(static_cast<std::size_t>(k_));
+        for (std::int32_t c = 0; c < k_; ++c)
+            kernelIds_[static_cast<std::size_t>(c)] = static_cast<double>(c);
     }
 }
 
@@ -240,9 +244,9 @@ std::int32_t PartitionSnapshot<D>::blockOf(const Point<D>& p) const {
 }
 
 /// One tile of a flat linear-scan snapshot: the points are gathered into SoA
-/// lanes and the shared tile kernel (core/tile_kernel.hpp) folds every
-/// center into them in id order, so an exact tie resolves to the lowest id.
-/// Tree and hierarchical snapshots answer point by point.
+/// lanes and the shared tile kernel (core/tile_kernel.hpp) folds the whole
+/// level into them as one run in id order, so an exact tie resolves to the
+/// lowest id. Tree and hierarchical snapshots answer point by point.
 template <int D>
 void PartitionSnapshot<D>::routeTile(const Point<D>* pts, std::size_t count,
                                      std::int32_t* out) const {
@@ -268,12 +272,12 @@ void PartitionSnapshot<D>::routeTile(const Point<D>* pts, std::size_t count,
     lanes.best2 = best2;
     lanes.bestC = bestC;
     const Level& flat = levels_.front();
-    for (std::size_t c = 0; c < static_cast<std::size_t>(flat.branching); ++c) {
-        Point<D> center;
-        for (int d = 0; d < D; ++d) center[d] = flat.cx[static_cast<std::size_t>(d)][c];
-        core::foldCenter<D, false>(lanes, count, center, flat.invInfluence2[c],
-                                   static_cast<double>(c));
-    }
+    core::CenterRun<D> run;
+    for (std::size_t d = 0; d < static_cast<std::size_t>(D); ++d) run.x[d] = flat.cx[d].data();
+    run.invInfluence2 = flat.invInfluence2.data();
+    run.id = kernelIds_.data();
+    run.size = kernelIds_.size();
+    core::foldCenters<D, false>(lanes, count, run);
     for (std::size_t i = 0; i < count; ++i) out[i] = static_cast<std::int32_t>(bestC[i]);
 }
 

@@ -153,6 +153,9 @@ private:
     std::vector<std::int32_t> blockLeaf_;  ///< empty = identity
     std::vector<std::int32_t> blockRank_;  ///< empty = no rank map
     std::optional<core::CenterKdTree<D>> tree_;  ///< flat snapshots, k >= kKdTreeFromK
+    /// Flat snapshots with k < kKdTreeFromK: 0..k-1 as doubles, the ids of
+    /// the one run routeTile folds (core::CenterRun).
+    std::vector<double> kernelIds_;
 };
 
 extern template class PartitionSnapshot<2>;

@@ -415,31 +415,41 @@ bool sameBits(const std::vector<double>& a, const std::vector<double>& b) {
 }
 
 #if defined(__x86_64__)
-/// Folds eight centers into `count` lanes twice — through the baseline body
-/// and through the wide body (tail lanes to the baseline, as foldCenter
-/// does) — and requires every lane bitwise equal after every fold. The
-/// lanes cycle through random points, points sitting on center 0 (e2 = 0),
-/// points equidistant from centers 1 and 2 (an exact tie), and points so
-/// far out that e2 overflows to +inf; their starting state cycles through
-/// +inf, a finite best and runner-up, and a finite best alone. Center 3
-/// duplicates center 0 under another id, tying with it on every lane.
+/// Folds sixteen centers into `count` lanes twice — as runs of 1, 2, 5 and
+/// 8 centers through foldCenters (the wide body, tail lanes to the
+/// baseline), and one center at a time through the baseline body — and
+/// requires every lane bitwise equal after every run. The lanes cycle
+/// through random points, points sitting on center 8 (e2 = 0), points
+/// equidistant from centers 9 and 10 (an exact tie), and points so far out
+/// that e2 overflows to +inf; their starting state cycles through +inf, a
+/// finite best and runner-up, and a finite best alone. Center 11 duplicates
+/// center 8 under another id, tying with it on every lane; the tied centers
+/// all sit in the 8-center run, so the run order decides their ties.
 template <int D, bool TrackSecond>
-void expectWideMatchesBaseline(std::size_t count, std::uint64_t seed) {
+void expectRunsMatchBaseline(std::size_t count, std::uint64_t seed) {
+    constexpr std::array<std::size_t, 4> kRuns{1, 2, 5, 8};
+    constexpr std::size_t kCenters = 16;
     Xoshiro256 rng(seed);
     constexpr double kInf = std::numeric_limits<double>::infinity();
-    std::vector<Point<D>> centers(8);
-    std::vector<double> inv(8);
-    for (std::size_t c = 0; c < centers.size(); ++c) {
+    std::vector<Point<D>> centers(kCenters);
+    std::vector<double> inv(kCenters);
+    for (std::size_t c = 0; c < kCenters; ++c) {
         for (int d = 0; d < D; ++d) centers[c][d] = rng.uniform();
         const double influence = rng.uniform(0.5, 2.0);
         inv[c] = 1.0 / (influence * influence);
     }
-    centers[1][0] = 0.25;
-    centers[2] = centers[1];
-    centers[2][0] = 0.75;
-    inv[2] = inv[1];
-    centers[3] = centers[0];
-    inv[3] = inv[0];
+    centers[9][0] = 0.25;
+    centers[10] = centers[9];
+    centers[10][0] = 0.75;
+    inv[10] = inv[9];
+    centers[11] = centers[8];
+    inv[11] = inv[8];
+    std::array<std::vector<double>, static_cast<std::size_t>(D)> cx;
+    std::vector<double> ids(kCenters);
+    for (std::size_t c = 0; c < kCenters; ++c) {
+        for (int d = 0; d < D; ++d) cx[static_cast<std::size_t>(d)].push_back(centers[c][d]);
+        ids[c] = static_cast<double>(c);
+    }
 
     LaneBuffers<D> base;
     for (auto& xd : base.x) xd.resize(count);
@@ -450,7 +460,7 @@ void expectWideMatchesBaseline(std::size_t count, std::uint64_t seed) {
     for (std::size_t j = 0; j < count; ++j) {
         Point<D> p;
         for (int d = 0; d < D; ++d) p[d] = rng.uniform();
-        if (j % 4 == 1) p = centers[0];
+        if (j % 4 == 1) p = centers[8];
         if (j % 4 == 2) p[0] = 0.5;
         if (j % 4 == 3) p[j % D] = j % 8 == 3 ? 1e200 : -1e200;
         for (int d = 0; d < D; ++d) base.x[static_cast<std::size_t>(d)][j] = p[d];
@@ -464,47 +474,53 @@ void expectWideMatchesBaseline(std::size_t count, std::uint64_t seed) {
     LaneBuffers<D> wide = base;
     const core::TileLanes<D> baseLanes = base.view();
     const core::TileLanes<D> wideLanes = wide.view();
-    const std::size_t bulk = count - count % 8;
-    for (std::size_t c = 0; c < centers.size(); ++c) {
-        const auto id = static_cast<double>(c);
-        core::detail::foldCenterBaseline<D, TrackSecond>(baseLanes, 0, count, centers[c],
-                                                         inv[c], id);
-        core::detail::foldCenterWide<D, TrackSecond>(wideLanes, count, centers[c], inv[c], id);
-        core::detail::foldCenterBaseline<D, TrackSecond>(wideLanes, bulk, count, centers[c],
-                                                         inv[c], id);
+    std::size_t begin = 0;
+    for (const std::size_t size : kRuns) {
+        for (std::size_t c = begin; c < begin + size; ++c)
+            core::detail::foldCenterBaseline<D, TrackSecond>(baseLanes, 0, count, centers[c],
+                                                             inv[c], ids[c]);
+        core::CenterRun<D> run;
+        for (std::size_t d = 0; d < static_cast<std::size_t>(D); ++d)
+            run.x[d] = cx[d].data() + begin;
+        run.invInfluence2 = inv.data() + begin;
+        run.id = ids.data() + begin;
+        run.size = size;
+        core::foldCenters<D, TrackSecond>(wideLanes, count, run);
         const auto where = ::testing::Message()
                            << "D=" << D << " TrackSecond=" << TrackSecond << " count=" << count
-                           << " after center " << c;
+                           << " after the run of " << size << " centers from " << begin;
         ASSERT_TRUE(sameBits(base.best2, wide.best2)) << where;
         ASSERT_TRUE(sameBits(base.bestC, wide.bestC)) << where;
         ASSERT_TRUE(sameBits(base.second2, wide.second2)) << where;
         ASSERT_TRUE(sameBits(base.secondC, wide.secondC)) << where;
+        begin += size;
     }
 }
 #endif
 
-/// The AVX-512F foldCenter body against the SSE2 baseline: counts 0-17
-/// cover every tail length on both sides of one wide step, 1024 a whole
-/// block. The log line names the body compared, so a CI log shows what the
-/// runner exercised.
+/// The AVX-512F run body of foldCenters against the SSE2 baseline: counts
+/// 0-17 cover every tail length on both sides of one wide step, 33 several
+/// wide steps and a tail, 1024 a whole block. The log line names the body
+/// compared, so a CI log shows what the runner exercised.
 TEST(TileKernel, WideBodyMatchesBaselineBitwise) {
 #if defined(__x86_64__)
     if (!core::detail::wideFoldSupported())
-        GTEST_SKIP() << "CPU lacks AVX-512F: foldCenter runs the SSE2 baseline alone";
+        GTEST_SKIP() << "CPU lacks AVX-512F: foldCenters runs the SSE2 baseline alone";
     std::cout << "[ TileKernel ] comparing the AVX-512F body against the SSE2 baseline\n";
     std::vector<std::size_t> counts(18);
     std::iota(counts.begin(), counts.end(), std::size_t{0});
+    counts.push_back(33);
     counts.push_back(1024);
     for (const std::size_t count : counts) {
         const std::uint64_t seed = 401 + count;
-        expectWideMatchesBaseline<2, false>(count, seed);
-        expectWideMatchesBaseline<2, true>(count, seed);
-        expectWideMatchesBaseline<3, false>(count, seed);
-        expectWideMatchesBaseline<3, true>(count, seed);
+        expectRunsMatchBaseline<2, false>(count, seed);
+        expectRunsMatchBaseline<2, true>(count, seed);
+        expectRunsMatchBaseline<3, false>(count, seed);
+        expectRunsMatchBaseline<3, true>(count, seed);
         if (HasFatalFailure()) return;
     }
 #else
-    GTEST_SKIP() << "the wide foldCenter body is compiled only on x86-64";
+    GTEST_SKIP() << "the wide foldCenters body is compiled only on x86-64";
 #endif
 }
 

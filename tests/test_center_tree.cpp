@@ -43,25 +43,35 @@ std::int32_t lowestIdScan(const Point<D>& q, const std::vector<Point<D>>& center
     return best;
 }
 
-/// The snapshot's batched scan: every center folded in id order into one
-/// tile of query lanes through the shared tile kernel.
+/// The snapshot's batched scan: every center folded in id order, as one
+/// run, into one tile of query lanes through the shared tile kernel.
 template <int D>
 std::vector<std::int32_t> tileKernelIds(const std::vector<Point<D>>& queries,
                                         const std::vector<Point<D>>& centers,
                                         const std::vector<double>& influence) {
     std::array<std::vector<double>, static_cast<std::size_t>(D)> x;
-    for (int d = 0; d < D; ++d)
+    std::array<std::vector<double>, static_cast<std::size_t>(D)> cx;
+    for (int d = 0; d < D; ++d) {
         for (const auto& q : queries) x[static_cast<std::size_t>(d)].push_back(q[d]);
+        for (const auto& c : centers) cx[static_cast<std::size_t>(d)].push_back(c[d]);
+    }
+    std::vector<double> inv, runIds;
+    for (std::size_t c = 0; c < centers.size(); ++c) {
+        inv.push_back(1.0 / (influence[c] * influence[c]));
+        runIds.push_back(static_cast<double>(c));
+    }
     std::vector<double> best2(queries.size(), std::numeric_limits<double>::infinity());
     std::vector<double> bestC(queries.size(), 0.0);
     core::TileLanes<D> lanes;
     for (std::size_t d = 0; d < static_cast<std::size_t>(D); ++d) lanes.x[d] = x[d].data();
     lanes.best2 = best2.data();
     lanes.bestC = bestC.data();
-    for (std::size_t c = 0; c < centers.size(); ++c)
-        core::foldCenter<D, false>(lanes, queries.size(), centers[c],
-                                   1.0 / (influence[c] * influence[c]),
-                                   static_cast<double>(c));
+    core::CenterRun<D> run;
+    for (std::size_t d = 0; d < static_cast<std::size_t>(D); ++d) run.x[d] = cx[d].data();
+    run.invInfluence2 = inv.data();
+    run.id = runIds.data();
+    run.size = centers.size();
+    core::foldCenters<D, false>(lanes, queries.size(), run);
     std::vector<std::int32_t> ids;
     for (const double c : bestC) ids.push_back(static_cast<std::int32_t>(c));
     return ids;

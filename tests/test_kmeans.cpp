@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <numeric>
 #include <string>
@@ -28,6 +29,16 @@ std::vector<Point2> uniformPoints(int n, std::uint64_t seed) {
     std::vector<Point2> pts;
     pts.reserve(static_cast<std::size_t>(n));
     for (int i = 0; i < n; ++i) pts.push_back(Point2{{rng.uniform(), rng.uniform()}});
+    return pts;
+}
+
+/// uniformPoints sorted by x. Split into contiguous rank ranges, every rank
+/// holds a vertical slab, so its active box excludes most centers: their
+/// pruning keys are positive and the engine's lane-retirement passes run.
+std::vector<Point2> slabPoints(int n, std::uint64_t seed) {
+    auto pts = uniformPoints(n, seed);
+    std::sort(pts.begin(), pts.end(),
+              [](const Point2& a, const Point2& b) { return a[0] < b[0]; });
     return pts;
 }
 
@@ -173,19 +184,43 @@ TEST(BalancedKMeans, HamerlyBoundsDoNotChangeResult) {
 }
 
 TEST(BalancedKMeans, BboxPruningDoesNotChangeResult) {
-    const auto pts = uniformPoints(2500, 41);
+    // Four slab ranks: the pruned run breaks (an input whose keys are all 0
+    // would run the same computation both ways).
+    constexpr int kRanks = 4;
+    const auto pts = slabPoints(2500, 41);
     Settings withPruning, without;
     withPruning.boundingBoxPruning = true;
     without.boundingBoxPruning = false;
     withPruning.sampledInitialization = without.sampledInitialization = false;
-    std::vector<std::int32_t> a, b;
-    runSpmd(1, [&](Comm& comm) {
-        a = balancedKMeans<2>(comm, pts, {}, seedCenters(9, 43), withPruning).assignment;
-    });
-    runSpmd(1, [&](Comm& comm) {
-        b = balancedKMeans<2>(comm, pts, {}, seedCenters(9, 43), without).assignment;
-    });
-    EXPECT_EQ(a, b);
+    KMeansOutcome<2> a, b;
+    std::uint64_t breaks = 0;
+    const auto run = [&](const Settings& s, KMeansOutcome<2>& out) {
+        runSpmd(kRanks, [&](Comm& comm) {
+            const auto [lo, hi] = geo::par::blockRange(static_cast<std::int64_t>(pts.size()),
+                                                       comm.rank(), kRanks);
+            std::vector<Point2> local(pts.begin() + lo, pts.begin() + hi);
+            auto mine = balancedKMeans<2>(comm, local, {}, seedCenters(9, 43), s);
+            mine.assignment = comm.allgatherv(std::span<const std::int32_t>(mine.assignment));
+            const std::uint64_t rankBreaks = comm.allreduceSum(mine.counters.bboxBreaks);
+            if (comm.isRoot()) {
+                out = std::move(mine);
+                breaks = rankBreaks;
+            }
+        });
+    };
+    run(withPruning, a);
+    EXPECT_GT(breaks, 0u);
+    run(without, b);
+    EXPECT_EQ(breaks, 0u);
+    EXPECT_EQ(a.assignment, b.assignment);
+    ASSERT_EQ(a.centers.size(), b.centers.size());
+    ASSERT_EQ(a.influence.size(), b.influence.size());
+    EXPECT_EQ(std::memcmp(a.centers.data(), b.centers.data(),
+                          a.centers.size() * sizeof(Point2)),
+              0);
+    EXPECT_EQ(std::memcmp(a.influence.data(), b.influence.data(),
+                          a.influence.size() * sizeof(double)),
+              0);
 }
 
 TEST(BalancedKMeans, BoundsSkipSubstantialWorkInLaterPhases) {
@@ -598,9 +633,10 @@ void expectExactlyEqual(const KMeansOutcome<D>& got, const SeedOutcome<D>& want,
 }
 
 /// Run the seed oracle and the engine at threads 1/2/4 on one
-/// configuration; everything must agree exactly.
+/// configuration; everything must agree exactly. Returns the engine's
+/// bboxBreaks summed over the ranks (the same at every thread count).
 template <int D>
-void runEquivalence(const std::vector<geo::Point<D>>& pts,
+std::uint64_t runEquivalence(const std::vector<geo::Point<D>>& pts,
                     const std::vector<double>& weights,
                     const std::vector<geo::Point<D>>& centers, Settings s,
                     int ranks, const std::string& label) {
@@ -616,6 +652,7 @@ void runEquivalence(const std::vector<geo::Point<D>>& pts,
         if (comm.isRoot()) want = std::move(mine);
     });
 
+    std::uint64_t breaks = 0;
     for (const int threads : {1, 2, 4}) {
         Settings engine = s;
         engine.threads = threads;
@@ -628,10 +665,17 @@ void runEquivalence(const std::vector<geo::Point<D>>& pts,
                 localW.assign(weights.begin() + lo, weights.begin() + hi);
             auto got = balancedKMeans<D>(comm, local, localW, centers, engine);
             got.assignment = comm.allgatherv(std::span<const std::int32_t>(got.assignment));
-            if (comm.isRoot())
+            const std::uint64_t rankBreaks = comm.allreduceSum(got.counters.bboxBreaks);
+            if (comm.isRoot()) {
                 expectExactlyEqual<D>(got, want, label + " [t" + std::to_string(threads) + "]");
+                if (threads == 1)
+                    breaks = rankBreaks;
+                else
+                    EXPECT_EQ(rankBreaks, breaks) << label << " bboxBreaks [t" << threads << "]";
+            }
         });
     }
+    return breaks;
 }
 
 TEST(AssignEngineEquivalence, Uniform2dSampled) {
@@ -692,6 +736,15 @@ TEST(AssignEngineEquivalence, NoBoundsNoPruning2d) {
     s.sampledInitialization = false;
     runEquivalence<2>(uniformPoints(2000, 157), {}, seedCenters(7, 163), s, 1,
                       "nobounds2d");
+}
+
+TEST(AssignEngineEquivalence, SortedSlabs2dFourRanks) {
+    // The only equivalence case whose ranks see positive pruning keys: the
+    // engine splits its center runs at the lane-retirement passes.
+    const std::uint64_t breaks = runEquivalence<2>(slabPoints(4000, 167), {},
+                                                   seedCenters(12, 173), Settings{}, 4,
+                                                   "slabs2d-4ranks");
+    EXPECT_GT(breaks, 0u);
 }
 
 TEST(BalancedKMeans, DeterministicAcrossRuns) {
