@@ -132,7 +132,7 @@ void assignSweepBench(benchmark::State& state, int threads) {
     std::vector<double> sizes(static_cast<std::size_t>(k), 0.0);
     for (auto _ : state) {
         engine.resetBounds();
-        engine.beginRound(centers, influence, engine.activeBox());
+        engine.beginRound(centers, influence);
         engine.sweep(sizes);
         benchmark::DoNotOptimize(sizes.data());
     }

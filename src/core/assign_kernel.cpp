@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <utility>
 
 #include "core/tile_kernel.hpp"
 #include "par/parallel_for.hpp"
@@ -27,14 +28,14 @@ constexpr std::size_t kRetireInterval = 4;
 template <int D>
 AssignEngine<D>::AssignEngine(std::span<const Point<D>> points,
                               std::span<const double> weights,
-                              std::span<const std::size_t> order,
+                              std::vector<std::size_t> order,
                               const Settings& settings, std::int32_t k)
     : points_(points),
       weights_(weights),
-      order_(order),
+      order_(std::move(order)),
       settings_(settings),
       k_(k),
-      store_(points, weights, settings.resolvedMemoryBudget()) {
+      budget_(settings.resolvedMemoryBudget()) {
     GEO_REQUIRE(k_ >= 1, "need at least one center");
     GEO_REQUIRE(weights_.empty() || weights_.size() == points_.size(),
                 "weights must be empty or match points");
@@ -43,6 +44,7 @@ AssignEngine<D>::AssignEngine(std::span<const Point<D>> points,
 
 template <int D>
 void AssignEngine<D>::setActive(std::size_t activeCount) {
+    GEO_REQUIRE(activeCount <= order_.size(), "active count exceeds the order");
     // The per-slot state is allocated on the first activation, not in the
     // constructor: the same bytes, but placed so that a process running many
     // k-means calls kept the smaller heap of the point-id layout (DESIGN.md
@@ -53,15 +55,47 @@ void AssignEngine<D>::setActive(std::size_t activeCount) {
         lb_.assign(order_.size(), 0.0);
         epoch_.assign(order_.size(), 0);
     }
-    // The points and the order are fixed for the engine's lifetime, so a
-    // store already holding this prefix has its box (and mirror, if any)
-    // current: skip the O(active) pass over the points.
-    if (store_.activeCount() == activeCount) return;
-    store_.setActive(order_, activeCount, settings_.resolvedThreads());
+    // The points and the order are fixed for the engine's lifetime, so an
+    // unchanged prefix has its box (and mirror, if any) current: skip the
+    // O(active) pass over the points.
+    if (active_ == activeCount) return;
+    active_ = activeCount;
+    const int threads = settings_.resolvedThreads();
+
+    // Active bounding box: per-worker partial boxes merged serially — box
+    // merge is exact coordinate min/max, so the result is thread-count
+    // independent.
+    box_ = Box<D>::empty();
+    if (active_ > 0) {
+        std::vector<Box<D>> partial(static_cast<std::size_t>(std::max(1, threads)),
+                                    Box<D>::empty());
+        par::parallelFor(threads, active_, [&](std::size_t s0, std::size_t s1, int worker) {
+            Box<D> bb = Box<D>::empty();
+            for (std::size_t s = s0; s < s1; ++s) bb.extend(points_[order_[s]]);
+            partial[static_cast<std::size_t>(worker)] = bb;
+        });
+        for (const auto& bb : partial)
+            if (bb.valid()) box_.extend(bb);
+    }
+
+    if (mirrored()) {
+        for (auto& x : mirrorX_) x.resize(active_);
+        mirrorW_.resize(active_);
+        par::parallelFor(threads, active_, [&](std::size_t s0, std::size_t s1, int) {
+            for (std::size_t s = s0; s < s1; ++s) {
+                const std::size_t p = order_[s];
+                for (int d = 0; d < D; ++d)
+                    mirrorX_[static_cast<std::size_t>(d)][s] = points_[p][d];
+                mirrorW_[s] = weights_.empty() ? 1.0 : weights_[p];
+            }
+        });
+    } else {
+        for (auto& x : mirrorX_) std::vector<double>().swap(x);
+        std::vector<double>().swap(mirrorW_);
+    }
     // merge() across engines maxes both mirror counters.
-    const auto& acc = store_.accounting();
-    counters_.peakTileBytes = std::max(counters_.peakTileBytes, acc.peakResidentBytes);
-    counters_.residentBytes = acc.residentBytes;
+    counters_.residentBytes = mirrored() ? kBytesPerPoint * active_ : 0;
+    counters_.peakTileBytes = std::max(counters_.peakTileBytes, counters_.residentBytes);
 }
 
 template <int D>
@@ -73,8 +107,7 @@ std::vector<std::int32_t> AssignEngine<D>::assignment() const {
 
 template <int D>
 void AssignEngine<D>::beginRound(std::span<const Point<D>> centers,
-                                 std::span<const double> influence,
-                                 const Box<D>& activeBox) {
+                                 std::span<const double> influence) {
     GEO_REQUIRE(static_cast<std::int32_t>(centers.size()) == k_ &&
                     static_cast<std::int32_t>(influence.size()) == k_,
                 "need one center and one influence value per cluster");
@@ -88,18 +121,15 @@ void AssignEngine<D>::beginRound(std::span<const Point<D>> centers,
     run_.resize(k * (D + 2));
     sortedCenters_.resize(k);
     std::iota(sortedCenters_.begin(), sortedCenters_.end(), 0);
-    // The stale-key guard: keys are valid only when computed *this round*
-    // against *this round's* box. A round with an invalid box (e.g. no
-    // active points) must fall back to the unpruned scan — consulting keys
-    // left over from an earlier round against the freshly reset identity
-    // order would break the "remaining centers cannot win" argument and can
-    // assign a point to the wrong cluster.
+    // Keys are valid only when computed this round against this round's
+    // box; without them (pruning off, or no active points) the kernel scans
+    // every center in id order.
     keysValid_ = false;
-    if (settings_.boundingBoxPruning && activeBox.valid()) {
+    if (settings_.boundingBoxPruning && box_.valid()) {
         centerKey_.resize(k);
         for (std::int32_t c = 0; c < k_; ++c) {
             const auto ci = static_cast<std::size_t>(c);
-            centerKey_[ci] = activeBox.minSquaredDistance(centers_[ci]) * invInfluence2(ci);
+            centerKey_[ci] = box_.minSquaredDistance(centers_[ci]) * invInfluence2(ci);
         }
         // Ascending (key, id): every center inside the active box has key 0,
         // and the batch kernel keeps the first of exactly tied candidates,
@@ -151,15 +181,14 @@ template <typename BlockFn>
 void AssignEngine<D>::foldBlocks(int threads, std::vector<double>& partials,
                                  std::span<double> out, BlockFn&& blockFn) {
     const std::size_t stride = out.size();
-    const std::size_t active = store_.activeCount();
-    const std::size_t blocks = (active + kBlockSlots - 1) / kBlockSlots;
+    const std::size_t blocks = (active_ + kBlockSlots - 1) / kBlockSlots;
     partials.resize(std::min(blocks, kChunkBlocks) * stride);
     for (std::size_t first = 0; first < blocks; first += kChunkBlocks) {
         const std::size_t count = std::min(kChunkBlocks, blocks - first);
         par::parallelFor(threads, count, [&](std::size_t b0, std::size_t b1, int worker) {
             for (std::size_t b = b0; b < b1; ++b) {
                 const std::size_t s0 = (first + b) * kBlockSlots;
-                blockFn(s0, std::min(active, s0 + kBlockSlots), worker,
+                blockFn(s0, std::min(active_, s0 + kBlockSlots), worker,
                         &partials[b * stride]);
             }
         });
@@ -173,16 +202,15 @@ void AssignEngine<D>::sweep(std::span<double> localSizes) {
     GEO_REQUIRE(static_cast<std::int32_t>(localSizes.size()) == k_,
                 "localSizes must have one entry per cluster");
     std::fill(localSizes.begin(), localSizes.end(), 0.0);
-    if (store_.activeCount() == 0) return;
+    if (active_ == 0) return;
     GEO_CHECK(!centers_.empty(), "beginRound must precede sweep");
 
     const int threads = settings_.resolvedThreads();
     if (scratch_.size() < static_cast<std::size_t>(threads))
         scratch_.resize(static_cast<std::size_t>(threads));
-    const auto mirror = store_.mirror();
     foldBlocks(threads, blockSizes_, localSizes,
                [&](std::size_t s0, std::size_t s1, int worker, double* blockSizes) {
-                   processBlock(s0, s1, mirror, scratch_[static_cast<std::size_t>(worker)],
+                   processBlock(s0, s1, scratch_[static_cast<std::size_t>(worker)],
                                 blockSizes);
                });
     // Counter merges are integer sums — order-independent.
@@ -197,19 +225,19 @@ void AssignEngine<D>::updateCenters(std::span<double> sums) {
     const auto stride = static_cast<std::size_t>(k_) * (D + 1);
     GEO_REQUIRE(sums.size() == stride, "sums must be k*(D+1) wide");
     std::fill(sums.begin(), sums.end(), 0.0);
-    if (store_.activeCount() == 0) return;
+    if (active_ == 0) return;
 
-    const auto mirror = store_.mirror();
+    const bool mirror = mirrored();
     foldBlocks(settings_.resolvedThreads(), blockSums_, sums,
                [&](std::size_t s0, std::size_t s1, int, double* partial) {
                    std::fill(partial, partial + stride, 0.0);
                    for (std::size_t s = s0; s < s1; ++s) {
                        double* row =
                            partial + static_cast<std::size_t>(assignment_[s]) * (D + 1);
-                       if (mirror.weight != nullptr) {
-                           const double weight = mirror.weight[s];
+                       if (mirror) {
+                           const double weight = mirrorW_[s];
                            for (int d = 0; d < D; ++d)
-                               row[d] += weight * mirror.x[static_cast<std::size_t>(d)][s];
+                               row[d] += weight * mirrorX_[static_cast<std::size_t>(d)][s];
                            row[D] += weight;
                        } else {
                            const std::size_t p = order_[s];
@@ -222,9 +250,8 @@ void AssignEngine<D>::updateCenters(std::span<double> sums) {
 }
 
 template <int D>
-void AssignEngine<D>::processBlock(std::size_t s0, std::size_t s1,
-                                   const typename PointStore<D>::Mirror& mirror,
-                                   Scratch& scratch, double* blockSizes) {
+void AssignEngine<D>::processBlock(std::size_t s0, std::size_t s1, Scratch& scratch,
+                                   double* blockSizes) {
     // Each worker sizes its own lanes, once, on its first block, so they sit
     // in that thread's malloc arena: sizing every worker's lanes on the
     // calling thread raised cold-mesh2d's set-up peak RSS by 0.6 MB.
@@ -236,6 +263,7 @@ void AssignEngine<D>::processBlock(std::size_t s0, std::size_t s1,
     }
     const std::uint32_t cur = currentEpoch();
     const bool bounds = settings_.hamerlyBounds;
+    const bool mirror = mirrored();
     const Epoch* epochs = epochs_.data();
     const std::int32_t* assignment = assignment_.data();
     double* ub = ub_.data();
@@ -279,9 +307,9 @@ void AssignEngine<D>::processBlock(std::size_t s0, std::size_t s1,
     }
     // The queued lanes' coordinates, from the mirror or from the caller's
     // points through the order.
-    if (mirror.weight != nullptr) {
+    if (mirror) {
         for (int d = 0; d < D; ++d) {
-            const double* src = mirror.x[static_cast<std::size_t>(d)];
+            const double* src = mirrorX_[static_cast<std::size_t>(d)].data();
             double* dst = gx[static_cast<std::size_t>(d)];
             for (std::size_t j = 0; j < m; ++j) dst[j] = src[laneSlot[j]];
         }
@@ -299,8 +327,9 @@ void AssignEngine<D>::processBlock(std::size_t s0, std::size_t s1,
 
     // Per-block weighted sizes, accumulated in slot order within the block.
     std::fill(blockSizes, blockSizes + k_, 0.0);
-    if (mirror.weight != nullptr) {
-        for (std::size_t s = s0; s < s1; ++s) blockSizes[assignment[s]] += mirror.weight[s];
+    if (mirror) {
+        const double* weight = mirrorW_.data();
+        for (std::size_t s = s0; s < s1; ++s) blockSizes[assignment[s]] += weight[s];
     } else if (weights_.empty()) {
         for (std::size_t s = s0; s < s1; ++s) blockSizes[assignment[s]] += 1.0;
     } else {

@@ -21,16 +21,16 @@
 //      win for sampled initialization and warm-started repartitioning.
 //      Sequential replay applies the identical multiply/add per round the
 //      eager sweeps performed, so bound values are bitwise unchanged.
-//   3. Slot-ordered state, budgeted SoA mirror (core::PointStore) and a
-//      cache-blocked batch kernel. The engine takes the active order once,
-//      at construction; slot s names point order[s] for the engine's whole
-//      lifetime, and every per-point array (assignment, ub, lb, epoch) is
-//      indexed by slot, not by point id. setActive(count) moves the end of
-//      the active prefix and hands it to a PointStore, which mirrors the
-//      active points into per-dimension arrays in slot order when they fit
-//      the byte budget of Settings::memoryBudgetBytes / GEO_MEM_BUDGET
-//      (unlimited, or kBytesPerPoint · active ≤ budget), and holds no
-//      mirror otherwise. The sweep walks fixed 1024-slot blocks; one pass
+//   3. Slot-ordered state, a budgeted SoA mirror and a cache-blocked batch
+//      kernel. The engine owns its active order, taken at construction;
+//      slot s names point order[s] for the engine's whole lifetime, and
+//      every per-point array (assignment, ub, lb, epoch) is indexed by
+//      slot, not by point id. setActive(count) moves the end of the active
+//      prefix, recomputes the prefix's bounding box and, when the prefix
+//      fits the byte budget of Settings::memoryBudgetBytes / GEO_MEM_BUDGET
+//      (unlimited, or kBytesPerPoint · active ≤ budget), mirrors the active
+//      points into per-dimension arrays in slot order; a larger prefix has
+//      no mirror. The sweep walks fixed 1024-slot blocks; one pass
 //      over a block's contiguous slot range replays missed epochs, skips
 //      what the bounds allow, and queues the slot of every other point
 //      without a branch; a second loop copies the queued points'
@@ -45,7 +45,9 @@
 //      sampled (randomly ordered) sweep reads and writes its state
 //      sequentially and two workers share a cache line only at a block
 //      edge. Weighted cluster sizes are accumulated per block and reduced
-//      in block order.
+//      in block order. The mirror holds the caller's doubles unchanged, so
+//      both sources hand the kernel the same bits (DESIGN.md "Memory
+//      budget & the mirror rule").
 //   4. Intra-rank threading (Settings::threads) via par::parallelFor over
 //      whole blocks. Blocks run a fixed number at a time (a chunk); each
 //      chunk's per-block partials are folded serially in ascending block
@@ -68,7 +70,6 @@
 #include <span>
 #include <vector>
 
-#include "core/point_store.hpp"
 #include "core/settings.hpp"
 #include "geometry/box.hpp"
 #include "geometry/point.hpp"
@@ -92,34 +93,30 @@ public:
     /// however many points are active.
     static constexpr std::size_t kChunkBlocks = 256;
 
-    /// `points`/`weights`/`order` must outlive the engine (weights may be
-    /// empty = unit). `order` lists point ids in active order: slot s is
-    /// point order[s] for the engine's whole lifetime, so it is referenced,
-    /// not copied, and must not change. `k` is the number of clusters.
+    /// Storage bytes one mirrored point occupies: D coordinates + one weight.
+    static constexpr std::uint64_t kBytesPerPoint = (D + 1) * sizeof(double);
+
+    /// `points`/`weights` must outlive the engine (weights may be empty =
+    /// unit). `order` lists point ids in active order: slot s is point
+    /// order[s] for the engine's whole lifetime. `k` is the number of
+    /// clusters.
     AssignEngine(std::span<const Point<D>> points, std::span<const double> weights,
-                 std::span<const std::size_t> order, const Settings& settings,
+                 std::vector<std::size_t> order, const Settings& settings,
                  std::int32_t k);
 
-    /// Declare the active prefix, slots [0, activeCount) — the PointStore
-    /// recomputes the active bounding box and (budget permitting) mirrors
-    /// the points. Called once per assignAndBalance (the active set only
-    /// changes between calls); only the end of the prefix moves. A store
-    /// whose prefix length is unchanged is already current, so that call
-    /// does nothing.
+    /// Declare the active prefix, slots [0, activeCount): recompute its
+    /// bounding box and, when kBytesPerPoint · activeCount fits the memory
+    /// budget (or the budget is 0), mirror its points in slot order;
+    /// otherwise release any mirror held. Called once per assignAndBalance
+    /// (the active set only changes between calls); only the end of the
+    /// prefix moves. An unchanged prefix length leaves box and mirror
+    /// current, so that call does nothing.
     void setActive(std::size_t activeCount);
-
-    /// Bounding box of the active points (invalid when none are active).
-    [[nodiscard]] const Box<D>& activeBox() const noexcept {
-        return store_.activeBox();
-    }
 
     /// Start one assignment round against `centers`/`influence` (replicated
     /// state; spans must stay valid until the next beginRound). Recomputes
-    /// the bbox-pruning candidate order from `activeBox` — pruning keys are
-    /// only ever consulted when they were computed in *this* round, so a
-    /// round whose box is invalid can never scan against stale keys.
-    void beginRound(std::span<const Point<D>> centers, std::span<const double> influence,
-                    const Box<D>& activeBox);
+    /// the bbox-pruning candidate order from the active box.
+    void beginRound(std::span<const Point<D>> centers, std::span<const double> influence);
 
     /// One assignment sweep over the active points: replay missed bound
     /// epochs, skip via ub < lb, (re)assign the rest, and write the
@@ -184,20 +181,25 @@ private:
     template <typename BlockFn>
     void foldBlocks(int threads, std::vector<double>& partials, std::span<double> out,
                     BlockFn&& blockFn);
-    void processBlock(std::size_t s0, std::size_t s1,
-                      const typename PointStore<D>::Mirror& mirror, Scratch& scratch,
+    void processBlock(std::size_t s0, std::size_t s1, Scratch& scratch,
                       double* blockSizes);
     void batchKernel(Scratch& scratch, std::size_t m);
     [[nodiscard]] std::size_t runEnd(std::size_t begin) const;
+    /// Does the active prefix have a mirror (budget 0, or kBytesPerPoint ·
+    /// active ≤ budget)?
+    [[nodiscard]] bool mirrored() const noexcept {
+        return budget_ == 0 || kBytesPerPoint * active_ <= budget_;
+    }
     [[nodiscard]] std::uint32_t currentEpoch() const noexcept {
         return static_cast<std::uint32_t>(epochs_.size());
     }
 
     std::span<const Point<D>> points_;
     std::span<const double> weights_;
-    std::span<const std::size_t> order_;
+    std::vector<std::size_t> order_;
     const Settings& settings_;
     std::int32_t k_;
+    std::uint64_t budget_;  ///< resolved memory budget; 0 = unlimited
 
     // Persistent per-point state, indexed by active slot (slot s holds the
     // state of point order_[s]); sized on the first setActive.
@@ -206,8 +208,13 @@ private:
     std::vector<std::uint32_t> epoch_;
     std::vector<Epoch> epochs_;
 
-    // Active bounding box and, when it fits the budget, the SoA mirror.
-    PointStore<D> store_;
+    // The active prefix [0, active_), its bounding box and, while mirrored(),
+    // its SoA mirror: mirrorX_[d][s] and mirrorW_[s] belong to point
+    // order_[s]. Without a mirror both are empty.
+    std::size_t active_ = 0;
+    Box<D> box_ = Box<D>::empty();
+    std::array<std::vector<double>, static_cast<std::size_t>(D)> mirrorX_;
+    std::vector<double> mirrorW_;
 
     // Round state.
     std::span<const Point<D>> centers_;

@@ -17,6 +17,14 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// Convergence: the run stops once the largest center movement falls below
+/// this fraction of the expected cluster radius (bbox diagonal / k^(1/d)).
+constexpr double kDeltaThresholdFactor = 5e-3;
+
+/// Points per rank in the first sampled-initialization round (§4.5); the
+/// sample doubles every round.
+constexpr std::size_t kInitialSampleSize = 100;
+
 /// The local active order: identity, or a random permutation for the
 /// sampled initialization (§4.5), whose growing prefix is the sample.
 std::vector<std::size_t> activeOrder(std::size_t n, const Settings& settings, int rank) {
@@ -42,8 +50,8 @@ public:
           settings_(settings),
           k_(static_cast<std::int32_t>(centers.size())),
           centers_(std::move(centers)),
-          order_(activeOrder(points.size(), settings, comm.rank())),
-          engine_(points_, weights_, order_, settings_, k_) {
+          engine_(points_, weights_, activeOrder(points.size(), settings, comm.rank()),
+                  settings_, k_) {
         GEO_REQUIRE(k_ >= 1, "need at least one center");
         GEO_REQUIRE(weights_.empty() || weights_.size() == points_.size(),
                     "weights must be empty or match points");
@@ -89,18 +97,13 @@ public:
         freshCenters_.resize(ks);
 
         // The sampled initialization starts from a prefix of the order.
-        if (settings_.sampledInitialization) {
-            sampleSize_ = std::min<std::size_t>(
-                static_cast<std::size_t>(std::max(1, settings_.initialSampleSize)), n);
-        } else {
-            sampleSize_ = n;
-        }
+        sampleSize_ = settings_.sampledInitialization ? std::min(kInitialSampleSize, n) : n;
 
         // Scale for the convergence threshold: expected cluster radius over
         // the global bounding box (some ranks may hold few/no points).
         const Box<D> globalBox = allreduceBox<D>(comm_, Box<D>::around(points_));
         clusterScale_ = expectedClusterRadius(globalBox.diagonal(), k_, D);
-        deltaThreshold_ = settings_.deltaThresholdFactor * clusterScale_;
+        deltaThreshold_ = kDeltaThresholdFactor * clusterScale_;
     }
 
     KMeansOutcome<D> run() {
@@ -213,7 +216,7 @@ private:
         for (int round = 0; round < settings_.maxBalanceIterations; ++round) {
             counters_.balanceIterations++;
 
-            engine_.beginRound(centers_, influence_, engine_.activeBox());
+            engine_.beginRound(centers_, influence_);
             engine_.sweep(localSizes_);
             // The influence this sweep ran against — when the loop below
             // exits by exhaustion, adaptInfluence has already moved
@@ -281,7 +284,6 @@ private:
     std::vector<double> targetShare_;
     std::vector<Point<D>> centers_;
     std::vector<double> influence_;
-    std::vector<std::size_t> order_;  ///< the engine's slot order; built before it
     AssignEngine<D> engine_;
     std::size_t sampleSize_ = 0;
     double clusterScale_ = 1.0;

@@ -39,7 +39,7 @@
 namespace geo::core {
 
 /// Expected cluster radius `bbox diagonal / k^(1/d)` — the shared length
-/// scale of the convergence test (Settings::deltaThresholdFactor) and the
+/// scale of the k-means convergence test (balanced_kmeans.cpp) and the
 /// repartitioning drift probe (repart/repartition.cpp).
 [[nodiscard]] inline double expectedClusterRadius(double bboxDiagonal, std::int32_t k,
                                                   int dim) noexcept {

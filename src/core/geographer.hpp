@@ -29,7 +29,7 @@ struct GeographerResult {
     double imbalance = 0.0;
     bool converged = false;
     /// Loop counters over all ranks: the kSummedCounters summed, the
-    /// kMaxedCounters store marks maxed (the worst rank's store).
+    /// kMaxedCounters mirror marks maxed (the largest rank's mirror).
     KMeansCounters counters;
     /// Per-phase wall time, max over ranks: "hilbert", "redistribute",
     /// "kmeans", plus the k-means sub-phases "assign" (assignment sweeps)

@@ -35,10 +35,6 @@ struct Settings {
     /// Balance iterations between center movements (Alg. 1 maxBalanceIter).
     int maxBalanceIterations = 20;
 
-    /// Convergence: stop when the largest center movement falls below this
-    /// fraction of the expected cluster radius (bbox diagonal / k^(1/d)).
-    double deltaThresholdFactor = 5e-3;
-
     /// Maximum relative influence change per balance step (paper: 5%).
     double influenceChangeCap = 0.05;
 
@@ -54,7 +50,6 @@ struct Settings {
     /// Sampled initialization: start with 100 random points per rank and
     /// double each round (§4.5 "random initialization").
     bool sampledInitialization = true;
-    int initialSampleSize = 100;
 
     /// Intra-rank worker threads for every O(n) pipeline phase: SFC keying
     /// and bounds, the rank-local sort inside par::sampleSort, the
@@ -86,8 +81,9 @@ struct Settings {
         return par::defaultRanks();
     }
 
-    /// Byte budget for the SoA point mirror the assignment sweeps and
-    /// center updates read (core::PointStore). 0 = unset: fall back to
+    /// Byte budget for the SoA mirror of the active points that the
+    /// assignment engine's sweeps and center updates read
+    /// (core::AssignEngine::setActive). 0 = unset: fall back to
     /// GEO_MEM_BUDGET, then unlimited (the whole active set is mirrored,
     /// exactly the pre-budget behavior). A positive budget keeps the mirror
     /// only while (D+1)·8 bytes per active point fit it; a larger active
@@ -95,7 +91,7 @@ struct Settings {
     /// straight from the caller's arrays through the active order. Results
     /// are bitwise identical at every budget: both sources hold the same
     /// doubles, folded over the same fixed blocks in the same order
-    /// (DESIGN.md "Memory model & tiling").
+    /// (DESIGN.md "Memory budget & the mirror rule").
     std::uint64_t memoryBudgetBytes = 0;
 
     /// The byte budget actually used: `memoryBudgetBytes` if set, else
@@ -135,11 +131,14 @@ struct KMeansCounters {
     std::uint64_t batchedDistanceCalcs = 0;    ///< distances evaluated by the SoA batch kernel
     std::uint64_t keyedPoints = 0;       ///< points run through SFC keying (phase 1)
     std::uint64_t sortedRecords = 0;     ///< records owned after the global sort (phase 2)
-    /// Bytes of the largest PointStore mirror: 0 when no active prefix fit
-    /// the memory budget (every warm step under a budget it outgrows).
+    /// Bytes of the largest mirror an assignment engine held: 0 when no
+    /// active prefix fit the memory budget (every warm step under a budget
+    /// it outgrows).
     std::uint64_t peakTileBytes = 0;
-    std::uint64_t residentBytes = 0;     ///< mirror bytes held after the last setActive
-    std::uint64_t spilledTiles = 0;      ///< always 0: stores never refill (benches report it)
+    /// Mirror bytes an engine held after its last setActive: 0 without a
+    /// mirror.
+    std::uint64_t residentBytes = 0;
+    std::uint64_t spilledTiles = 0;      ///< always 0: engines never refill (benches report it)
     int outerIterations = 0;             ///< center-movement rounds
 
     [[nodiscard]] double skipFraction() const noexcept {
@@ -161,8 +160,8 @@ inline constexpr std::array<std::uint64_t KMeansCounters::*, 10> kSummedCounters
     &KMeansCounters::balanceIterations, &KMeansCounters::epochBoundApplications,
     &KMeansCounters::batchedDistanceCalcs, &KMeansCounters::keyedPoints,
     &KMeansCounters::sortedRecords, &KMeansCounters::spilledTiles};
-/// Memory counters describe one store's mirror, so they take the max (the
-/// largest store), not the sum.
+/// Memory counters describe one engine's mirror, so they take the max (the
+/// largest mirror), not the sum.
 inline constexpr std::array<std::uint64_t KMeansCounters::*, 2> kMaxedCounters{
     &KMeansCounters::peakTileBytes, &KMeansCounters::residentBytes};
 // A uint64_t counter missing from both tables fails here (the trailing slot

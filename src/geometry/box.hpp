@@ -94,22 +94,8 @@ struct Box {
         return s;
     }
 
-    /// Largest squared distance from p to any point of the box.
-    [[nodiscard]] constexpr double maxSquaredDistance(const Point<D>& p) const noexcept {
-        double s = 0.0;
-        for (int i = 0; i < D; ++i) {
-            const double d = std::max(std::abs(p[i] - lo[i]), std::abs(p[i] - hi[i]));
-            s += d * d;
-        }
-        return s;
-    }
-
     [[nodiscard]] double minDistance(const Point<D>& p) const noexcept {
         return std::sqrt(minSquaredDistance(p));
-    }
-
-    [[nodiscard]] double maxDistance(const Point<D>& p) const noexcept {
-        return std::sqrt(maxSquaredDistance(p));
     }
 
     [[nodiscard]] double diagonal() const noexcept { return distance(lo, hi); }

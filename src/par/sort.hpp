@@ -265,18 +265,4 @@ std::vector<Record> rebalanceSorted(Comm& comm, std::vector<Record> local) {
     return comm.alltoallv(sendTo);
 }
 
-/// Redistribute records to explicit destination ranks.
-template <typename Record>
-std::vector<Record> redistribute(Comm& comm, std::span<const Record> local,
-                                 std::span<const int> destination) {
-    GEO_REQUIRE(local.size() == destination.size(), "one destination per record");
-    const int p = comm.size();
-    std::vector<std::vector<Record>> sendTo(static_cast<std::size_t>(p));
-    for (std::size_t i = 0; i < local.size(); ++i) {
-        GEO_REQUIRE(destination[i] >= 0 && destination[i] < p, "destination rank out of range");
-        sendTo[static_cast<std::size_t>(destination[i])].push_back(local[i]);
-    }
-    return comm.alltoallv(sendTo);
-}
-
 }  // namespace geo::par

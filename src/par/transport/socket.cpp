@@ -32,7 +32,9 @@ namespace {
 constexpr std::uint32_t kFrameMagic = 0x47454F54;  // "GEOT"
 constexpr std::uint32_t kWireVersion = 1;
 constexpr std::uint64_t kMaxFrameBytes = std::uint64_t{1} << 40;
+constexpr std::uint64_t kMaxHelloBytes = 64;
 constexpr std::size_t kHeaderBytes = 16;  // u32 magic + u32 tag + u64 len
+constexpr std::size_t kHelloBytes = 12;   // u32 version + u32 ranks + u32 rank
 
 [[noreturn]] void sysFail(const char* what) {
     throw std::runtime_error(std::string("socket transport: ") + what + " failed: " +
@@ -101,6 +103,42 @@ struct IoCtx {
     throw TransportError(TransportErrorKind::Timeout, peer, ctx.op, ctx.seq,
                          std::string(what) + " made no progress for " +
                              std::to_string(dl.ms) + " ms");
+}
+
+/// A check on received bytes failed: the peer is alive but sent garbage.
+[[noreturn]] void protocolFail(const IoCtx& ctx, int peer, const std::string& detail) {
+    throw TransportError(TransportErrorKind::Protocol, peer, ctx.op, ctx.seq, detail);
+}
+
+/// The one frame-header encoder: [u32 magic][u32 tag][u64 payloadLen].
+std::vector<std::byte> encodeHeader(std::uint32_t tag, std::uint64_t len) {
+    binio::Writer header;
+    header.u32(kFrameMagic);
+    header.u32(tag);
+    header.u64(len);
+    return std::move(header).take();
+}
+
+/// The one frame-header check, shared by every reader: the magic, the tag
+/// the reader expects and a payload length of at most `maxLen`. Returns the
+/// payload length.
+std::uint64_t checkHeader(std::span<const std::byte, kHeaderBytes> raw,
+                          std::uint32_t expectedTag, std::uint64_t maxLen,
+                          const IoCtx& ctx, int peer) {
+    binio::Reader header(raw);
+    if (header.u32() != kFrameMagic)
+        protocolFail(ctx, peer, "bad frame magic (stream corrupt)");
+    const std::uint32_t tag = header.u32();
+    if (tag != expectedTag)
+        protocolFail(ctx, peer,
+                     "collective desync: sent tag " + std::to_string(tag) + ", expected " +
+                         std::to_string(expectedTag));
+    const std::uint64_t len = header.u64();
+    if (len > maxLen)
+        protocolFail(ctx, peer,
+                     "frame length " + std::to_string(len) + " exceeds the cap of " +
+                         std::to_string(maxLen));
+    return len;
 }
 
 /// Block until `fd` is ready for `events` or the deadline expires (throws
@@ -213,11 +251,8 @@ void SocketTransport::beginCollective(const char* op) {
 void SocketTransport::sendFrame(int peer, Op op, const void* payload,
                                 std::size_t bytes) {
     const IoCtx ctx{opName_, seq_, opDeadlineMs_};
-    binio::Writer header;
-    header.u32(kFrameMagic);
-    header.u32(makeTagImpl(static_cast<std::uint8_t>(op), seq_));
-    header.u64(bytes);
-    sendAll(fdFor(peer), header.buffer().data(), header.size(), ctx, peer);
+    const auto header = encodeHeader(makeTagImpl(static_cast<std::uint8_t>(op), seq_), bytes);
+    sendAll(fdFor(peer), header.data(), header.size(), ctx, peer);
     if (bytes > 0) sendAll(fdFor(peer), payload, bytes, ctx, peer);
 }
 
@@ -225,15 +260,8 @@ std::vector<std::byte> SocketTransport::recvFrame(int peer, Op op) {
     const IoCtx ctx{opName_, seq_, opDeadlineMs_};
     std::array<std::byte, kHeaderBytes> raw{};
     recvAll(fdFor(peer), raw.data(), raw.size(), ctx, peer);
-    binio::Reader header(raw);
-    GEO_CHECK(header.u32() == kFrameMagic, "bad frame magic (stream corrupt)");
-    const std::uint32_t tag = header.u32();
-    const std::uint32_t expected = makeTagImpl(static_cast<std::uint8_t>(op), seq_);
-    GEO_CHECK(tag == expected,
-              "collective desync: peer " + std::to_string(peer) + " sent tag " +
-                  std::to_string(tag) + ", expected " + std::to_string(expected));
-    const std::uint64_t len = header.u64();
-    GEO_CHECK(len <= kMaxFrameBytes, "frame length exceeds protocol cap");
+    const std::uint64_t len = checkHeader(
+        raw, makeTagImpl(static_cast<std::uint8_t>(op), seq_), kMaxFrameBytes, ctx, peer);
     std::vector<std::byte> payload(static_cast<std::size_t>(len));
     if (len > 0) recvAll(fdFor(peer), payload.data(), payload.size(), ctx, peer);
     return payload;
@@ -247,11 +275,8 @@ std::vector<std::byte> SocketTransport::exchangeFrames(int sendPeer, Op sendOp,
     const int sendFd = fdFor(sendPeer);
     const int recvFd = fdFor(recvPeer);
 
-    binio::Writer headerW;
-    headerW.u32(kFrameMagic);
-    headerW.u32(makeTagImpl(static_cast<std::uint8_t>(sendOp), seq_));
-    headerW.u64(sendBytes);
-    const std::vector<std::byte>& sendHeader = headerW.buffer();
+    const auto sendHeader =
+        encodeHeader(makeTagImpl(static_cast<std::uint8_t>(sendOp), seq_), sendBytes);
     const auto* sendBody = static_cast<const std::byte*>(sendPayload);
     std::size_t sendOff = 0;  // linear over header then payload
     const std::size_t sendTotal = kHeaderBytes + sendBytes;
@@ -301,16 +326,9 @@ std::vector<std::byte> SocketTransport::exchangeFrames(int sendPeer, Op sendOp,
                 recvOff += static_cast<std::size_t>(r);
                 dl.reset();
                 if (!recvHeaderParsed && recvOff == kHeaderBytes) {
-                    binio::Reader header(recvHeader);
-                    GEO_CHECK(header.u32() == kFrameMagic,
-                              "bad frame magic (stream corrupt)");
-                    const std::uint32_t expected = makeTagImpl(
-                        static_cast<std::uint8_t>(recvOp), seq_);
-                    GEO_CHECK(header.u32() == expected,
-                              "collective desync in pairwise exchange");
-                    const std::uint64_t len = header.u64();
-                    GEO_CHECK(len <= kMaxFrameBytes,
-                              "frame length exceeds protocol cap");
+                    const std::uint64_t len = checkHeader(
+                        recvHeader, makeTagImpl(static_cast<std::uint8_t>(recvOp), seq_),
+                        kMaxFrameBytes, ctx, recvPeer);
                     recvPayload.resize(static_cast<std::size_t>(len));
                     recvTotal = kHeaderBytes + recvPayload.size();
                     recvHeaderParsed = true;
@@ -434,15 +452,24 @@ void SocketTransport::connectMesh() {
         w.u32(static_cast<std::uint32_t>(fromRank));
         return std::move(w).take();
     };
-    const auto parseHello = [&](std::vector<std::byte> payload) {
+    // Every check on a peer's handshake bytes is a Protocol error; `peer`
+    // is -1 on the accept side, where the sender is not yet known.
+    const IoCtx helloCtx{"handshake", 0, connectDeadlineMs_};
+    const auto parseHello = [&](const std::vector<std::byte>& payload, int peer) {
+        if (payload.size() != kHelloBytes)
+            protocolFail(helloCtx, peer,
+                         "handshake payload of " + std::to_string(payload.size()) +
+                             " bytes, expected " + std::to_string(kHelloBytes));
         binio::Reader r(payload);
-        GEO_CHECK(r.u32() == kWireVersion, "handshake wire version mismatch");
-        GEO_CHECK(r.u32() == static_cast<std::uint32_t>(p),
-                  "handshake rank-count mismatch (mixed launches?)");
-        const int from = static_cast<int>(r.u32());
-        r.expectEnd("handshake frame");
-        GEO_CHECK(from >= 0 && from < p && from != self, "handshake rank out of range");
-        return from;
+        if (r.u32() != kWireVersion)
+            protocolFail(helloCtx, peer, "handshake wire version mismatch");
+        if (r.u32() != static_cast<std::uint32_t>(p))
+            protocolFail(helloCtx, peer, "handshake rank-count mismatch (mixed launches?)");
+        const std::uint32_t from = r.u32();
+        if (from >= static_cast<std::uint32_t>(p) || from == static_cast<std::uint32_t>(self))
+            protocolFail(helloCtx, peer,
+                         "handshake rank " + std::to_string(from) + " out of range");
+        return static_cast<int>(from);
     };
 
     // 2. Dial every lower rank (bounded retry until its listener is bound).
@@ -498,8 +525,8 @@ void SocketTransport::connectMesh() {
         peerFd_[static_cast<std::size_t>(peer)] = fd;
         const auto hello = helloPayload(self);
         sendFrame(peer, Op::Hello, hello.data(), hello.size());
-        GEO_CHECK(parseHello(recvFrame(peer, Op::Hello)) == peer,
-                  "connected to the wrong peer endpoint");
+        if (parseHello(recvFrame(peer, Op::Hello), peer) != peer)
+            protocolFail(helloCtx, peer, "connected to the wrong peer endpoint");
     }
 
     // 3. Accept every higher rank; the handshake identifies which one each
@@ -507,7 +534,6 @@ void SocketTransport::connectMesh() {
     //    deadline bounds the WHOLE accept phase: an absent rank — crashed
     //    before dialing, never launched — turns into a typed Timeout here
     //    instead of an indefinite accept() hang.
-    const IoCtx acceptCtx{"handshake", 0, connectDeadlineMs_};
     const Deadline acceptDl = Deadline::after(connectDeadlineMs_);
     if (p - 1 - self > 0) setNonBlocking(listenFd_, true);
     for (int pending = p - 1 - self; pending > 0; --pending) {
@@ -517,7 +543,7 @@ void SocketTransport::connectMesh() {
             if (fd >= 0) break;
             if (errno == EINTR || errno == ECONNABORTED) continue;
             if (errno == EAGAIN || errno == EWOULDBLOCK) {
-                waitReady(listenFd_, POLLIN, acceptDl, acceptCtx, -1, "accept");
+                waitReady(listenFd_, POLLIN, acceptDl, helloCtx, -1, "accept");
                 continue;
             }
             sysFail("accept");
@@ -527,19 +553,16 @@ void SocketTransport::connectMesh() {
         // Read the handshake directly on the fd — the peer's rank is not
         // known until the hello payload arrives.
         std::array<std::byte, kHeaderBytes> raw{};
-        recvAll(fd, raw.data(), raw.size(), acceptCtx, -1);
-        binio::Reader header(raw);
-        GEO_CHECK(header.u32() == kFrameMagic, "bad handshake magic");
-        GEO_CHECK(header.u32() == makeTagImpl(static_cast<std::uint8_t>(Op::Hello), 0),
-                  "bad handshake tag");
-        const std::uint64_t len = header.u64();
-        GEO_CHECK(len <= 64, "handshake frame oversized");
+        recvAll(fd, raw.data(), raw.size(), helloCtx, -1);
+        const std::uint64_t len =
+            checkHeader(raw, makeTagImpl(static_cast<std::uint8_t>(Op::Hello), 0),
+                        kMaxHelloBytes, helloCtx, -1);
         std::vector<std::byte> payload(static_cast<std::size_t>(len));
-        recvAll(fd, payload.data(), payload.size(), acceptCtx, -1);
-        const int from = parseHello(std::move(payload));
-        GEO_CHECK(from > self, "handshake from unexpected direction");
-        GEO_CHECK(peerFd_[static_cast<std::size_t>(from)] < 0,
-                  "duplicate connection from peer");
+        recvAll(fd, payload.data(), payload.size(), helloCtx, -1);
+        const int from = parseHello(payload, -1);
+        if (from < self) protocolFail(helloCtx, -1, "handshake from unexpected direction");
+        if (peerFd_[static_cast<std::size_t>(from)] >= 0)
+            protocolFail(helloCtx, -1, "duplicate connection from peer");
         peerFd_[static_cast<std::size_t>(from)] = fd;
         const auto hello = helloPayload(self);
         sendFrame(from, Op::Hello, hello.data(), hello.size());
@@ -552,6 +575,7 @@ void SocketTransport::connectMesh() {
 std::vector<std::vector<std::byte>> SocketTransport::gatherToRoot(ConstBuf mine) {
     const int p = config_.ranks;
     const int self = config_.rank;
+    const IoCtx ctx{opName_, seq_, opDeadlineMs_};
 
     // Accumulated entry list: [u32 origin][u64 len][bytes] per entry.
     // Internal tree nodes merge children by concatenating entry bytes —
@@ -574,31 +598,42 @@ std::vector<std::vector<std::byte>> SocketTransport::gatherToRoot(ConstBuf mine)
         const int child = self + mask;
         if (child < p) {
             const std::vector<std::byte> payload = recvFrame(child, Op::Gather);
+            if (payload.size() < sizeof(std::uint32_t))
+                protocolFail(ctx, child, "gather frame without an entry count");
             binio::Reader r(payload);
             count += r.u32();
             body.bytes(r.rest());
         }
     }
 
-    GEO_CHECK(self == 0 && count == static_cast<std::uint32_t>(p),
-              "gather reached root with wrong entry count");
+    // Only the root gets here. It decodes the merged entry list, where a
+    // bad entry may come from any subtree, so these errors name no peer.
+    if (count != static_cast<std::uint32_t>(p))
+        protocolFail(ctx, -1,
+                     "gather reached the root with " + std::to_string(count) +
+                         " entries, expected " + std::to_string(p));
     std::vector<std::vector<std::byte>> out(static_cast<std::size_t>(p));
     std::vector<bool> seen(static_cast<std::size_t>(p), false);
-    binio::Reader r(body.buffer());
-    for (std::uint32_t i = 0; i < count; ++i) {
-        const std::uint32_t origin = r.u32();
-        GEO_CHECK(origin < static_cast<std::uint32_t>(p) && !seen[origin],
-                  "gather entry with bad origin rank");
-        seen[origin] = true;
-        const std::uint64_t len = r.u64();
-        out[origin] = r.bytes(static_cast<std::size_t>(len));
+    try {
+        binio::Reader r(body.buffer());
+        for (std::uint32_t i = 0; i < count; ++i) {
+            const std::uint32_t origin = r.u32();
+            if (origin >= static_cast<std::uint32_t>(p) || seen[origin])
+                protocolFail(ctx, -1,
+                             "gather entry with bad origin rank " + std::to_string(origin));
+            seen[origin] = true;
+            const std::uint64_t len = r.u64();
+            out[origin] = r.bytes(static_cast<std::size_t>(len));
+        }
+        r.expectEnd("gather entry list");
+    } catch (const std::invalid_argument& truncatedOrTrailing) {
+        protocolFail(ctx, -1, truncatedOrTrailing.what());
     }
-    r.expectEnd("gather entry list");
     return out;
 }
 
 std::vector<std::byte> SocketTransport::bcastBytes(std::vector<std::byte> mine,
-                                                   int root) {
+                                                   int root, std::size_t bytes) {
     const int p = config_.ranks;
     const int self = config_.rank;
     const int rel = (self - root + p) % p;
@@ -609,6 +644,10 @@ std::vector<std::byte> SocketTransport::bcastBytes(std::vector<std::byte> mine,
             int src = self - mask;
             if (src < 0) src += p;
             mine = recvFrame(src, Op::Bcast);
+            if (bytes != kAnyBytes && mine.size() != bytes)
+                protocolFail(IoCtx{opName_, seq_, opDeadlineMs_}, src,
+                             "broadcast payload of " + std::to_string(mine.size()) +
+                                 " bytes, expected " + std::to_string(bytes));
             break;
         }
     }
@@ -626,7 +665,7 @@ void SocketTransport::barrier() {
     if (config_.ranks == 1) return;
     beginCollective("barrier");
     (void)gatherToRoot(ConstBuf{nullptr, 0});
-    (void)bcastBytes({}, 0);
+    (void)bcastBytes({}, 0, 0);
 }
 
 void SocketTransport::allreduce(void* inout, std::size_t count, DType type,
@@ -643,16 +682,19 @@ void SocketTransport::allreduce(void* inout, std::size_t count, DType type,
         gatherToRoot(ConstBuf{inout, bytes});
     std::vector<std::byte> result;
     if (config_.rank == 0) {
-        for (int r = 0; r < p; ++r)
-            GEO_CHECK(gathered[static_cast<std::size_t>(r)].size() == bytes,
-                      "allreduce contribution size mismatch");
+        for (int r = 1; r < p; ++r) {
+            const std::size_t got = gathered[static_cast<std::size_t>(r)].size();
+            if (got != bytes)
+                protocolFail(IoCtx{opName_, seq_, opDeadlineMs_}, r,
+                             "allreduce contribution of " + std::to_string(got) +
+                                 " bytes, expected " + std::to_string(bytes));
+        }
         result = std::move(gathered[0]);
         for (int r = 1; r < p; ++r)
             reduceInPlace(type, op, result.data(),
                           gathered[static_cast<std::size_t>(r)].data(), count);
     }
-    result = bcastBytes(std::move(result), 0);
-    GEO_CHECK(result.size() == bytes, "allreduce result size mismatch");
+    result = bcastBytes(std::move(result), 0, bytes);
     if (bytes > 0) std::memcpy(inout, result.data(), bytes);
 }
 
@@ -666,8 +708,7 @@ void SocketTransport::broadcast(void* data, std::size_t bytes, int root) {
         payload.resize(bytes);
         if (bytes > 0) std::memcpy(payload.data(), data, bytes);
     }
-    payload = bcastBytes(std::move(payload), root);
-    GEO_CHECK(payload.size() == bytes, "broadcast size mismatch across ranks");
+    payload = bcastBytes(std::move(payload), root, bytes);
     if (config_.rank != root && bytes > 0)
         std::memcpy(data, payload.data(), bytes);
 }
@@ -689,7 +730,7 @@ std::vector<std::byte> SocketTransport::allgatherv(ConstBuf mine) {
         for (const auto& part : gathered)
             concat.insert(concat.end(), part.begin(), part.end());
     }
-    return bcastBytes(std::move(concat), 0);
+    return bcastBytes(std::move(concat), 0, kAnyBytes);
 }
 
 std::vector<std::byte> SocketTransport::alltoallv(std::span<const ConstBuf> sendTo) {

@@ -15,8 +15,9 @@
 // where tag packs (opcode, collective sequence number). Both ends advance
 // the sequence once per collective, so a desynchronized peer — one rank
 // entering collectives in a different order — fails loudly on the tag check
-// instead of silently mixing payloads. Frame decode uses the same
-// bounds-checked binio primitives as the snapshot loader.
+// instead of silently mixing payloads. That check, and every other check on
+// received bytes, throws TransportError{Protocol}. Frame decode uses the
+// same bounds-checked binio primitives as the snapshot loader.
 //
 // Collective algorithms (DESIGN.md §2):
 //   * broadcast     — binomial tree rooted at `root`.
@@ -102,10 +103,13 @@ private:
     /// Tree gather to rank 0: root returns all p payloads indexed by origin
     /// rank; everyone else returns an empty vector.
     [[nodiscard]] std::vector<std::vector<std::byte>> gatherToRoot(ConstBuf mine);
-    /// Tree broadcast of a variable-size payload; only root's argument
-    /// matters, every rank returns the payload.
-    [[nodiscard]] std::vector<std::byte> bcastBytes(std::vector<std::byte> mine,
-                                                    int root);
+    /// bcastBytes' `bytes` when a payload of any size is valid.
+    static constexpr std::size_t kAnyBytes = static_cast<std::size_t>(-1);
+    /// Tree broadcast of a payload; only root's argument matters, every rank
+    /// returns the payload. A rank that receives other than `bytes` bytes
+    /// throws TransportError{Protocol} naming its tree parent.
+    [[nodiscard]] std::vector<std::byte> bcastBytes(std::vector<std::byte> mine, int root,
+                                                    std::size_t bytes);
 
     SocketConfig config_;
     int listenFd_ = -1;

@@ -194,14 +194,6 @@ void mortonIndicesInto(std::span<const Point<D>> points, const Box<D>& bounds,
                      });
 }
 
-template <int D>
-std::vector<std::uint64_t> mortonIndices(std::span<const Point<D>> points,
-                                         const Box<D>& bounds, int threads) {
-    std::vector<std::uint64_t> out(points.size());
-    mortonIndicesInto<D>(points, bounds, out, threads);
-    return out;
-}
-
 template std::uint64_t hilbertIndex<2>(const Point2&, const Box2&);
 template std::uint64_t hilbertIndex<3>(const Point3&, const Box3&);
 template Point2 hilbertPoint<2>(std::uint64_t, const Box2&);
@@ -214,8 +206,6 @@ template void mortonIndicesInto<2>(std::span<const Point2>, const Box2&, std::sp
 template void mortonIndicesInto<3>(std::span<const Point3>, const Box3&, std::span<std::uint64_t>, int);
 template std::uint64_t mortonIndex<2>(const Point2&, const Box2&);
 template std::uint64_t mortonIndex<3>(const Point3&, const Box3&);
-template std::vector<std::uint64_t> mortonIndices<2>(std::span<const Point2>, const Box2&, int);
-template std::vector<std::uint64_t> mortonIndices<3>(std::span<const Point3>, const Box3&, int);
 template Box2 boundsOf<2>(std::span<const Point2>, int);
 template Box3 boundsOf<3>(std::span<const Point3>, int);
 

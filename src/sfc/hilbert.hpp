@@ -63,13 +63,8 @@ void hilbertIndicesInto(std::span<const Point<D>> points, const Box<D>& bounds,
 template <int D>
 std::uint64_t mortonIndex(const Point<D>& p, const Box<D>& bounds);
 
-/// Batch Morton keying with the same bounds-reuse and threading contract as
-/// hilbertIndices.
-template <int D>
-std::vector<std::uint64_t> mortonIndices(std::span<const Point<D>> points,
-                                         const Box<D>& bounds, int threads = 1);
-
-/// Span-writing Morton variant; see hilbertIndicesInto.
+/// Batch Morton keying into `out` (one slot per point), with the same
+/// bounds-reuse and threading contract as hilbertIndicesInto.
 template <int D>
 void mortonIndicesInto(std::span<const Point<D>> points, const Box<D>& bounds,
                        std::span<std::uint64_t> out, int threads = 1);
@@ -92,8 +87,6 @@ extern template void mortonIndicesInto<2>(std::span<const Point2>, const Box2&, 
 extern template void mortonIndicesInto<3>(std::span<const Point3>, const Box3&, std::span<std::uint64_t>, int);
 extern template std::uint64_t mortonIndex<2>(const Point2&, const Box2&);
 extern template std::uint64_t mortonIndex<3>(const Point3&, const Box3&);
-extern template std::vector<std::uint64_t> mortonIndices<2>(std::span<const Point2>, const Box2&, int);
-extern template std::vector<std::uint64_t> mortonIndices<3>(std::span<const Point3>, const Box3&, int);
 extern template Box2 boundsOf<2>(std::span<const Point2>, int);
 extern template Box3 boundsOf<3>(std::span<const Point3>, int);
 

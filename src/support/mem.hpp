@@ -1,16 +1,15 @@
 // Process memory introspection + memory-budget parsing.
 //
-// The chunked point pipeline (core/point_store.hpp) is budgeted in bytes;
-// this header supplies the two sides of that contract: reading the budget
-// (Settings::memoryBudgetBytes / GEO_MEM_BUDGET, with K/M/G suffixes) and
-// observing what the process actually used (current and peak RSS), which
+// The assignment engine's point mirror (core/assign_kernel.hpp) is budgeted
+// in bytes; this header supplies the two sides of that contract: reading the
+// budget (Settings::memoryBudgetBytes / GEO_MEM_BUDGET, with K/M/G suffixes)
+// and observing what the process actually used (peak RSS), which
 // the BENCH_*.json writers record so the CI bench trajectory can assert a
 // budgeted run stayed under its cap.
 #pragma once
 
 #include <cctype>
 #include <cstdint>
-#include <fstream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -19,7 +18,6 @@
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
-#include <unistd.h>
 #endif
 
 namespace geo::support {
@@ -36,20 +34,6 @@ namespace geo::support {
 #else
     return static_cast<std::uint64_t>(ru.ru_maxrss) * 1024;
 #endif
-#else
-    return 0;
-#endif
-}
-
-/// Current resident set size in bytes (/proc/self/statm). 0 where /proc is
-/// unavailable — callers treat it as "unknown", never as "no memory".
-[[nodiscard]] inline std::uint64_t currentRssBytes() noexcept {
-#if defined(__linux__)
-    std::ifstream statm("/proc/self/statm");
-    std::uint64_t sizePages = 0, residentPages = 0;
-    if (!(statm >> sizePages >> residentPages)) return 0;
-    const long page = sysconf(_SC_PAGESIZE);
-    return residentPages * static_cast<std::uint64_t>(page > 0 ? page : 4096);
 #else
     return 0;
 #endif

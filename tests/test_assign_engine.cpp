@@ -14,7 +14,6 @@
 
 #include "core/assign_kernel.hpp"
 #include "core/tile_kernel.hpp"
-#include "geometry/box.hpp"
 #include "support/rng.hpp"
 
 namespace {
@@ -79,45 +78,6 @@ void expectPrefixMatchesBruteForce(const AssignEngine<D>& engine,
         << "prefix " << prefix;
 }
 
-/// Regression for the stale pruning-key bug: the seed guarded the pruning
-/// break on `centerKey_.size() == sortedCenters_.size()`, which stays true
-/// once keys have been computed in ANY earlier round. A later round whose
-/// active bounding box is invalid resets sortedCenters_ to identity order
-/// without recomputing keys; breaking on stale keys in unsorted order then
-/// skips centers that can still win. The engine must only consult keys
-/// computed this round.
-TEST(AssignEngine, StaleKeysAreNotConsultedWhenBoxIsInvalid) {
-    // p0 sits far out so round 1 computes a huge key for every center;
-    // p1 sits exactly on center 2.
-    const std::vector<Point2> points{Point2{{100.0, 0.0}}, Point2{{5.0, 0.0}}};
-    const std::vector<Point2> centers{Point2{{0.0, 0.0}}, Point2{{0.1, 0.0}},
-                                      Point2{{5.0, 0.0}}};
-    const std::vector<double> influence(3, 1.0);
-    Settings s;
-    s.boundingBoxPruning = true;
-    s.hamerlyBounds = true;
-    const std::vector<std::size_t> order{0, 1};
-    AssignEngine<2> engine(points, {}, order, s, 3);
-    std::vector<double> sizes(3, 0.0);
-
-    // Round 1: prefix 1, only p0 active; its box is far from every center,
-    // so the pruning keys are all large (key for center 2 ≈ 95²).
-    engine.setActive(1);
-    engine.beginRound(centers, influence, engine.activeBox());
-    engine.sweep(sizes);
-
-    // Round 2: prefix 2, but the caller supplies an *invalid* box (the
-    // state of a rank with no active points). p0's bounds skip it (ub 95 <
-    // lb 99.9). With stale keys the identity-order scan would fold centers
-    // 0 and 1 for p1 (eff dist² 25 and 24.01), see stale key[2] ≈ 95² >
-    // second ≈ 25, retire the lane and wrongly assign p1 to center 1.
-    // Fresh guard: no keys, full scan.
-    engine.setActive(2);
-    engine.beginRound(centers, influence, Box2::empty());
-    engine.sweep(sizes);
-    EXPECT_EQ(engine.assignment()[1], 2) << "the engine consulted stale keys";
-}
-
 /// Every other engine test runs the identity order, where slot and point
 /// id coincide. A sampled run walks a random permutation whose prefix
 /// grows between calls, with lazy epochs replayed on slots that were last
@@ -141,7 +101,7 @@ TEST(AssignEngine, ShuffledGrowingPrefixMatchesBruteForce) {
         for (const std::size_t prefix : {std::size_t{1000}, std::size_t{2000},
                                          std::size_t{4000}, points.size()}) {
             engine.setActive(prefix);
-            engine.beginRound(centers, influence, engine.activeBox());
+            engine.beginRound(centers, influence);
             engine.sweep(sizes);
             expectPrefixMatchesBruteForce(engine, points, order, prefix, centers, influence,
                                           sizes);
@@ -189,7 +149,7 @@ TEST_P(EngineModeSweep, SingleSweepMatchesBruteForce) {
     const auto order = identityOrder(points.size());
     AssignEngine<2> engine(points, {}, order, s, 23);
     engine.setActive(points.size());
-    engine.beginRound(centers, influence, engine.activeBox());
+    engine.beginRound(centers, influence);
     std::vector<double> sizes(23, 0.0);
     engine.sweep(sizes);
     const auto assignment = engine.assignment();
@@ -209,7 +169,7 @@ TEST(AssignEngine, LazyEpochBoundsSkipButNeverMisassign) {
     AssignEngine<2> engine(points, {}, order, s, 12);
     engine.setActive(points.size());
     std::vector<double> sizes(12, 0.0);
-    engine.beginRound(centers, influence, engine.activeBox());
+    engine.beginRound(centers, influence);
     engine.sweep(sizes);
 
     // Apply three influence perturbations, each pushed as a lazy epoch; the
@@ -225,7 +185,7 @@ TEST(AssignEngine, LazyEpochBoundsSkipButNeverMisassign) {
             ratio[c] = before / influence[c];
         }
         engine.pushInfluenceEpoch(ratio);
-        engine.beginRound(centers, influence, engine.activeBox());
+        engine.beginRound(centers, influence);
         engine.sweep(sizes);
         const auto assignment = engine.assignment();
         for (std::size_t p = 0; p < points.size(); ++p)
@@ -249,7 +209,7 @@ TEST(AssignEngine, MoveEpochKeepsBoundsConservative) {
     AssignEngine<2> engine(points, {}, order, s, 10);
     engine.setActive(points.size());
     std::vector<double> sizes(10, 0.0);
-    engine.beginRound(centers, influence, engine.activeBox());
+    engine.beginRound(centers, influence);
     engine.sweep(sizes);
 
     // Move every center a little and erode influence, as an outer k-means
@@ -268,7 +228,7 @@ TEST(AssignEngine, MoveEpochKeepsBoundsConservative) {
         shift[c] = delta / influence[c];
     }
     engine.pushMoveEpoch(ratio, shift);
-    engine.beginRound(centers, influence, engine.activeBox());
+    engine.beginRound(centers, influence);
     engine.sweep(sizes);
     const auto assignment = engine.assignment();
     for (std::size_t p = 0; p < points.size(); ++p)
@@ -295,7 +255,7 @@ TEST(AssignEngine, ThreadCountNeverChangesSizesBitwise) {
         const auto order = identityOrder(points.size());
         AssignEngine<2> engine(points, weights, order, s, 16);
         engine.setActive(points.size());
-        engine.beginRound(centers, influence, engine.activeBox());
+        engine.beginRound(centers, influence);
         std::vector<double> sizes(16, 0.0);
         engine.sweep(sizes);
         const auto assign = engine.assignment();
@@ -350,7 +310,7 @@ TEST(AssignEngine, ChunkedFoldIsTheBlockOrderedLeftFold) {
             s.memoryBudgetBytes = budget;
             Engine engine(points, weights, order, s, k);
             engine.setActive(n);
-            engine.beginRound(centers, influence, engine.activeBox());
+            engine.beginRound(centers, influence);
             std::vector<double> sizes(k);
             std::vector<double> sums(k * 3);
             engine.sweep(sizes);
@@ -369,8 +329,7 @@ TEST(AssignEngine, ZeroActivePointsIsANoop) {
     const auto order = identityOrder(points.size());
     AssignEngine<2> engine(points, {}, order, s, 3);
     engine.setActive(0);
-    EXPECT_FALSE(engine.activeBox().valid());
-    engine.beginRound(centers, influence, engine.activeBox());
+    engine.beginRound(centers, influence);
     std::vector<double> sizes(3, 1.0);
     engine.sweep(sizes);
     for (const double v : sizes) EXPECT_EQ(v, 0.0);
@@ -384,7 +343,7 @@ TEST(AssignEngine, BatchKernelCountsBatchedDistances) {
     const auto order = identityOrder(points.size());
     AssignEngine<2> engine(points, {}, order, s, 8);
     engine.setActive(points.size());
-    engine.beginRound(centers, influence, engine.activeBox());
+    engine.beginRound(centers, influence);
     std::vector<double> sizes(8, 0.0);
     engine.sweep(sizes);
     EXPECT_GT(engine.counters().distanceCalcs, 0u);

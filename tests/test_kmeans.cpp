@@ -375,6 +375,11 @@ TEST(HeterogeneousTargets, RejectsBadFractions) {
 // engine shares with the serving snapshots.
 // ---------------------------------------------------------------------------
 
+/// The seed's convergence factor and first sample size (the engine keeps
+/// its own copies as constants in balanced_kmeans.cpp).
+constexpr double kSeedDeltaThresholdFactor = 5e-3;
+constexpr std::size_t kSeedInitialSampleSize = 100;
+
 template <int D>
 struct SeedOutcome {
     std::vector<std::int32_t> assignment;
@@ -410,8 +415,7 @@ SeedOutcome<D> seedKMeans(Comm& comm, std::span<const geo::Point<D>> points,
         Xoshiro256 rng(s.seed ^
                        (0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(comm.rank() + 1)));
         for (std::size_t i = n; i > 1; --i) std::swap(order[i - 1], order[rng.below(i)]);
-        sampleSize = std::min<std::size_t>(
-            static_cast<std::size_t>(std::max(1, s.initialSampleSize)), n);
+        sampleSize = std::min<std::size_t>(kSeedInitialSampleSize, n);
     }
     auto bb = geo::Box<D>::around(points);
     std::array<double, 2 * D> lohi;
@@ -427,7 +431,7 @@ SeedOutcome<D> seedKMeans(Comm& comm, std::span<const geo::Point<D>> points,
     }
     const double clusterScale =
         geo::core::expectedClusterRadius(globalBox.diagonal(), k, D);
-    const double deltaThreshold = s.deltaThresholdFactor * clusterScale;
+    const double deltaThreshold = kSeedDeltaThresholdFactor * clusterScale;
     const auto weightOf = [&](std::size_t p) {
         return weights.empty() ? 1.0 : weights[p];
     };

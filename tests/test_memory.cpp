@@ -1,11 +1,12 @@
 // Memory-budget suite: parseMemBytes / GEO_MEM_BUDGET resolution, the
-// core::PointStore mirror (residency boundary, gather correctness,
-// accounting), and the contract that a budgeted pipeline — which reads the
-// points through the order instead of a mirror — reproduces the resident
-// pipeline BITWISE for flat, warm-started, and hierarchical runs at several
-// thread counts. Both sources hand the engine the same doubles and it folds
-// its fixed 1024-slot blocks in the same ascending order, so not a single
-// double may differ.
+// assignment engine's mirror rule (kept exactly while the active prefix
+// fits the budget, released past it, accounted in its counters), and the
+// contract that a budgeted pipeline — which reads the points through the
+// order instead of a mirror — reproduces the resident pipeline BITWISE for
+// flat, warm-started, and hierarchical runs at several thread counts. Both
+// sources hand the engine the same doubles and it folds its fixed
+// 1024-slot blocks in the same ascending order, so not a single double may
+// differ.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -17,7 +18,6 @@
 
 #include "core/assign_kernel.hpp"
 #include "core/geographer.hpp"
-#include "core/point_store.hpp"
 #include "core/settings.hpp"
 #include "gen/delaunay2d.hpp"
 #include "hier/hier_partition.hpp"
@@ -29,13 +29,11 @@
 
 namespace {
 
-using geo::Box2;
 using geo::Point2;
 using geo::Xoshiro256;
 using geo::core::AssignEngine;
 using geo::core::GeographerResult;
 using geo::core::KMeansCounters;
-using geo::core::PointStore;
 using geo::core::Settings;
 using geo::support::parseMemBytes;
 using geo::test::ScopedEnv;
@@ -92,8 +90,13 @@ TEST(MemoryBudget, UnparseableEnvironmentThrows) {
     EXPECT_EQ(s.resolvedMemoryBudget(), 8192u);
 }
 
-class PointStoreFixture : public ::testing::Test {
+/// 5000 random points with fractional weights, activated in reversed order.
+class EngineMirror : public ::testing::Test {
 protected:
+    using Engine = AssignEngine<2>;
+    static constexpr std::uint64_t kBpp = Engine::kBytesPerPoint;
+    static constexpr std::int32_t kCenters = 6;
+
     void SetUp() override {
         Xoshiro256 rng(71);
         points_.resize(5000);
@@ -102,84 +105,80 @@ protected:
             p[1] = rng.uniform();
         }
         weights_ = fractionalWeights(points_.size(), 72);
-        order_.resize(points_.size());
-        std::iota(order_.begin(), order_.end(), std::size_t{0});
+        reversed_.resize(points_.size());
+        std::iota(reversed_.rbegin(), reversed_.rend(), std::size_t{0});
     }
+
+    /// Settings with `budget` bytes; the engines keep a reference.
+    static Settings budgeted(std::uint64_t budget) {
+        Settings s;
+        s.threads = 2;
+        s.memoryBudgetBytes = budget;
+        return s;
+    }
+
     std::vector<Point2> points_;
     std::vector<double> weights_;
-    std::vector<std::size_t> order_;
+    std::vector<std::size_t> reversed_;
 };
 
-TEST_F(PointStoreFixture, ResidentExactlyWhenTheActiveSetFitsTheBudget) {
-    constexpr std::uint64_t bpp = PointStore<2>::kBytesPerPoint;
+TEST_F(EngineMirror, KeptExactlyWhenThePrefixFitsTheBudget) {
     const std::size_t active = 3000;
-    const std::uint64_t fits = bpp * active;
+    const std::uint64_t fits = kBpp * active;
 
-    PointStore<2> unlimited(points_, weights_, /*budgetBytes=*/0);
-    unlimited.setActive(order_, active, 2);
-    EXPECT_TRUE(unlimited.resident());
+    const Settings unlimitedSettings = budgeted(0);
+    Engine unlimited(points_, weights_, reversed_, unlimitedSettings, kCenters);
+    unlimited.setActive(active);
+    EXPECT_EQ(unlimited.counters().residentBytes, fits);
 
-    PointStore<2> exact(points_, weights_, fits);
-    exact.setActive(order_, active, 2);
-    EXPECT_TRUE(exact.resident());
-    EXPECT_EQ(exact.accounting().residentBytes, fits);
+    const Settings exactSettings = budgeted(fits);
+    Engine exact(points_, weights_, reversed_, exactSettings, kCenters);
+    exact.setActive(active);
+    EXPECT_EQ(exact.counters().residentBytes, fits);
+    EXPECT_EQ(exact.counters().peakTileBytes, fits);
 
-    PointStore<2> oneShort(points_, weights_, fits - 1);
-    oneShort.setActive(order_, active, 2);
-    EXPECT_FALSE(oneShort.resident());
+    const Settings oneShortSettings = budgeted(fits - 1);
+    Engine oneShort(points_, weights_, reversed_, oneShortSettings, kCenters);
+    oneShort.setActive(active);
+    EXPECT_EQ(oneShort.counters().residentBytes, 0u);
+    EXPECT_EQ(oneShort.counters().peakTileBytes, 0u);
     // One point less fits the same budget again.
-    oneShort.setActive(order_, active - 1, 2);
-    EXPECT_TRUE(oneShort.resident());
-    EXPECT_EQ(oneShort.accounting().residentBytes, bpp * (active - 1));
+    oneShort.setActive(active - 1);
+    EXPECT_EQ(oneShort.counters().residentBytes, kBpp * (active - 1));
 }
 
-TEST_F(PointStoreFixture, MirrorHoldsThePointsInActiveOrder) {
-    // A non-identity order (reversed): mirror slot s must hold point
-    // order[s] and its weight; without weights every slot weighs 1.
-    std::vector<std::size_t> reversed(order_.rbegin(), order_.rend());
-    PointStore<2> store(points_, weights_, /*budgetBytes=*/0);
-    store.setActive(reversed, 4321, 3);
-    PointStore<2> unit(points_, {}, /*budgetBytes=*/0);
-    unit.setActive(reversed, 4321, 3);
-    const auto mirror = store.mirror();
-    const auto unitMirror = unit.mirror();
-    ASSERT_NE(mirror.weight, nullptr);
-    ASSERT_NE(unitMirror.weight, nullptr);
-    for (std::size_t s = 0; s < store.activeCount(); ++s) {
-        const std::size_t p = reversed[s];
-        ASSERT_EQ(mirror.x[0][s], points_[p][0]) << "slot " << s;
-        ASSERT_EQ(mirror.x[1][s], points_[p][1]) << "slot " << s;
-        ASSERT_EQ(mirror.weight[s], weights_[p]) << "slot " << s;
-        ASSERT_EQ(unitMirror.weight[s], 1.0) << "slot " << s;
-    }
-}
-
-TEST_F(PointStoreFixture, NoMirrorPastTheBoundary) {
-    std::vector<std::size_t> reversed(order_.rbegin(), order_.rend());
+TEST_F(EngineMirror, GrowingPastTheBudgetReleasesTheMirrorAndKeepsItsPeak) {
     const std::size_t active = 4000;
-    PointStore<2> store(points_, weights_, PointStore<2>::kBytesPerPoint * active - 1);
-    // A prefix that fits is mirrored first; growing past the budget
-    // releases the mirror and keeps only its peak.
-    store.setActive(reversed, active / 2, 1);
-    ASSERT_TRUE(store.resident());
-    store.setActive(reversed, active, 1);
-    EXPECT_FALSE(store.resident());
-    EXPECT_EQ(store.accounting().residentBytes, 0u);
-    EXPECT_EQ(store.accounting().peakResidentBytes,
-              PointStore<2>::kBytesPerPoint * (active / 2));
-    const auto mirror = store.mirror();
-    EXPECT_EQ(mirror.x[0], nullptr);
-    EXPECT_EQ(mirror.x[1], nullptr);
-    EXPECT_EQ(mirror.weight, nullptr);
-    // The box does not depend on the mirror.
-    Box2 box = Box2::empty();
-    for (std::size_t s = 0; s < active; ++s) box.extend(points_[reversed[s]]);
-    EXPECT_EQ(store.activeBox().lo, box.lo);
-    EXPECT_EQ(store.activeBox().hi, box.hi);
+    const Settings s = budgeted(kBpp * active - 1);
+    Engine engine(points_, weights_, reversed_, s, kCenters);
+    engine.setActive(active / 2);
+    EXPECT_EQ(engine.counters().residentBytes, kBpp * (active / 2));
+    engine.setActive(active);
+    EXPECT_EQ(engine.counters().residentBytes, 0u);
+    EXPECT_EQ(engine.counters().peakTileBytes, kBpp * (active / 2));
 
-    PointStore<2> never(points_, weights_, PointStore<2>::kBytesPerPoint * active - 1);
-    never.setActive(reversed, active, 1);
-    EXPECT_EQ(never.accounting().peakResidentBytes, 0u);
+    // Without the mirror the engine reads the same points through the
+    // order: its box and sweep match an unlimited engine's bit for bit.
+    const Settings unlimitedSettings = budgeted(0);
+    Engine unlimited(points_, weights_, reversed_, unlimitedSettings, kCenters);
+    unlimited.setActive(active);
+    Xoshiro256 rng(73);
+    std::vector<Point2> centers(kCenters);
+    for (auto& c : centers) c = Point2{{rng.uniform(), rng.uniform()}};
+    const std::vector<double> influence(kCenters, 1.0);
+    std::vector<double> got(kCenters), want(kCenters);
+    engine.beginRound(centers, influence);
+    engine.sweep(got);
+    unlimited.beginRound(centers, influence);
+    unlimited.sweep(want);
+    EXPECT_EQ(got, want);
+    EXPECT_EQ(engine.assignment(), unlimited.assignment());
+    EXPECT_EQ(engine.counters().distanceCalcs, unlimited.counters().distanceCalcs);
+
+    // A prefix that never fits is never mirrored.
+    Engine never(points_, weights_, reversed_, s, kCenters);
+    never.setActive(active);
+    EXPECT_EQ(never.counters().peakTileBytes, 0u);
 }
 
 /// The tentpole assertion: identical bits with and without a budget.

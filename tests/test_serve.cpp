@@ -565,7 +565,7 @@ TEST(ServeSnapshot, EngineAndSnapshotBreakExactTiesTheSameWay) {
 
             geo::core::AssignEngine<2> engine(points, {}, order, settings, k);
             engine.setActive(order.size());
-            engine.beginRound(centers, influence, engine.activeBox());
+            engine.beginRound(centers, influence);
             std::vector<double> sizes(k, 0.0);
             engine.sweep(sizes);
             const auto assignment = engine.assignment();

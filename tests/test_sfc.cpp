@@ -183,7 +183,8 @@ TEST(HilbertIndices, UpperBoundaryClampsIntoLastCell3D) {
     const Point3 q = sfc::hilbertPoint<3>(idx[0], bb);
     EXPECT_TRUE(bb.contains(q));
     // Same clamp contract for the Morton batch keying.
-    const auto midx = sfc::mortonIndices<3>(pts, bb);
+    std::vector<std::uint64_t> midx(pts.size());
+    sfc::mortonIndicesInto<3>(pts, bb, midx);
     EXPECT_EQ(midx[0], midx[1]);
 }
 
@@ -212,8 +213,10 @@ TEST(HilbertIndices, ThreadedKeyingMatchesSerial) {
         const auto serial = sfc::hilbertIndices<2>(pts, bb, 1);
         for (const int threads : {2, 4, 8})
             EXPECT_EQ(sfc::hilbertIndices<2>(pts, bb, threads), serial);
-        const auto serialMorton = sfc::mortonIndices<2>(pts, bb, 1);
-        EXPECT_EQ(sfc::mortonIndices<2>(pts, bb, 4), serialMorton);
+        std::vector<std::uint64_t> serialMorton(pts.size()), threadedMorton(pts.size());
+        sfc::mortonIndicesInto<2>(pts, bb, serialMorton, 1);
+        sfc::mortonIndicesInto<2>(pts, bb, threadedMorton, 4);
+        EXPECT_EQ(threadedMorton, serialMorton);
     }
     EXPECT_EQ(sfc::boundsOf<2>(pts, 4).lo, Box2::around(std::span<const Point2>(pts)).lo);
     EXPECT_EQ(sfc::boundsOf<2>(pts, 4).hi, Box2::around(std::span<const Point2>(pts)).hi);

@@ -196,30 +196,4 @@ TEST(RebalanceSorted, EqualizesCounts) {
     });
 }
 
-TEST(Redistribute, SendsToExplicitDestinations) {
-    const int p = 3;
-    runSpmd(p, [&](Comm& comm) {
-        // Every rank sends value v to rank v%p.
-        std::vector<int> values{0, 1, 2, 3, 4, 5};
-        std::vector<int> dest;
-        for (int v : values) dest.push_back(v % p);
-        auto received = geo::par::redistribute(comm, std::span<const int>(values),
-                                               std::span<const int>(dest));
-        // Each rank receives, from each of p ranks, the two values congruent
-        // to its rank mod p.
-        EXPECT_EQ(received.size(), 2u * p);
-        for (int v : received) EXPECT_EQ(v % p, comm.rank());
-    });
-}
-
-TEST(Redistribute, RejectsInvalidRank) {
-    runSpmd(2, [&](Comm& comm) {
-        std::vector<int> values{1};
-        std::vector<int> dest{5};
-        EXPECT_THROW((void)geo::par::redistribute(comm, std::span<const int>(values),
-                                                  std::span<const int>(dest)),
-                     std::invalid_argument);
-    });
-}
-
 }  // namespace

@@ -23,19 +23,23 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/geographer.hpp"
 #include "core/settings.hpp"
 #include "gen/delaunay2d.hpp"
 #include "par/comm.hpp"
+#include "par/transport/socket.hpp"
 #include "par/transport/transport.hpp"
 #include "repart/repartition.hpp"
 #include "repart/scenarios.hpp"
@@ -518,6 +522,46 @@ TEST(SocketConformance, FourRanks) {
 TEST(SocketConformance, TcpTwoRanks) {
     EXPECT_EQ(runLaunch("--transport tcp -n 2 -- " + selfExe() + " --worker=conformance"),
               0);
+}
+
+/// Two in-process ranks over a temporary Unix directory enter different
+/// collectives: rank 0 allgatherv, rank 1 broadcast from itself. Rank 0
+/// reads a broadcast frame where it expects a gather frame, which is the
+/// peer's protocol error, not an internal invariant.
+TEST(SocketTransport, DesyncedPeerRaisesProtocolError) {
+    char dirTemplate[] = "/tmp/geo_desync_XXXXXX";
+    const char* dir = ::mkdtemp(dirTemplate);
+    ASSERT_NE(dir, nullptr);
+    std::optional<geo::par::TransportError> caught;
+    std::string otherError;
+    // Rank 1 completes its broadcast, or sees rank 0 close the mesh.
+    const auto runRank = [&](int rank) {
+        try {
+            geo::par::SocketConfig config;
+            config.rank = rank;
+            config.ranks = 2;
+            config.dir = dir;
+            geo::par::SocketTransport transport(config);
+            std::array<std::byte, 8> buffer{};
+            if (rank == 0) {
+                (void)transport.allgatherv({buffer.data(), buffer.size()});
+            } else {
+                transport.broadcast(buffer.data(), buffer.size(), /*root=*/1);
+            }
+        } catch (const geo::par::TransportError& e) {
+            if (rank == 0) caught = e;
+        } catch (const std::exception& e) {
+            if (rank == 0) otherError = e.what();
+        }
+    };
+    std::thread rank1(runRank, 1);
+    runRank(0);
+    rank1.join();
+    ::rmdir(dir);
+    ASSERT_TRUE(caught.has_value()) << "rank 0 threw: " << otherError;
+    EXPECT_EQ(caught->kind, geo::par::TransportErrorKind::Protocol) << caught->what();
+    EXPECT_EQ(caught->peer, 1) << caught->what();
+    EXPECT_EQ(caught->op, "allgatherv");
 }
 
 TEST(GeoLaunch, PropagatesWorkerExitCode) {
